@@ -39,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_image(path: Path) -> Image:
     try:
         img = decode_netpbm(path.read_bytes())
@@ -229,21 +237,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Re-render a saved eval report, recomputing every metric from its
+    `confusion` counts; the stored `metrics` are not read."""
     try:
         payload = json.loads(Path(args.input).read_text())
-        cm = evaluation.ConfusionMatrix(**payload["confusion"])
-        m = payload["metrics"]
-        report = evaluation.MetricsReport(
-            confusion=cm,
-            accuracy=m["accuracy"],
-            sensitivity=m["sensitivity"],
-            specificity=m["specificity"],
-            precision=m["precision"],
-            f1=m["f1"],
-        )
+        report = evaluation.MetricsReport(evaluation.ConfusionMatrix(**payload["confusion"]))
+        text = evaluation.render_report_text(report, paper_round=args.paper_rounding)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{args.input}: {exc}") from exc
-    sys.stdout.write(evaluation.render_report_text(report, paper_round=args.paper_rounding))
+    sys.stdout.write(text)
     return 0
 
 
@@ -271,7 +273,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--images-root", required=True)
     p.add_argument("--out-root", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     _add_preprocess_flags(p)
     p.set_defaults(func=cmd_preprocess)
 

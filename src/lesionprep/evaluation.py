@@ -1,9 +1,12 @@
 """Classifier-agnostic evaluation: prediction-log parsing, confusion matrix,
 and accuracy / sensitivity / specificity / precision / F1 in percent.
 
-The positive class is fixed to malignant. Undefined ratios (empty
-denominator) are returned as None and rendered "n/a", never silently 0 or
-100.
+The positive class is fixed to malignant. Every metric is an exact
+`fractions.Fraction` computed from the four confusion counts, so a report
+can never disagree with its counts. Undefined ratios (empty denominator) are
+returned as None and rendered "n/a", never silently 0 or 100. Renderings
+round each exact value once: to two decimals half to even, or to the
+published table's whole percentages (see `paper_rounding`).
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Optional, Sequence
 
 LABELS = ("benign", "malignant")
 LOG_HEADER = ["case_id", "predicted", "confidence", "truth"]
+METRICS = ("accuracy", "sensitivity", "specificity", "precision", "f1")
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,12 @@ class ConfusionMatrix:
     fn: int
     tn: int
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{field.name} must be a non-negative integer, got {value!r}")
+
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
@@ -40,12 +51,33 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The five metrics, each computed from `confusion` on access."""
+
     confusion: ConfusionMatrix
-    accuracy: Optional[float]
-    sensitivity: Optional[float]
-    specificity: Optional[float]
-    precision: Optional[float]
-    f1: Optional[float]
+
+    @property
+    def accuracy(self) -> Fraction:
+        return accuracy(self.confusion)
+
+    @property
+    def sensitivity(self) -> Optional[Fraction]:
+        return sensitivity(self.confusion)
+
+    @property
+    def specificity(self) -> Optional[Fraction]:
+        return specificity(self.confusion)
+
+    @property
+    def precision(self) -> Optional[Fraction]:
+        return precision(self.confusion)
+
+    @property
+    def f1(self) -> Optional[Fraction]:
+        """F1 of this report's own precision and sensitivity."""
+        sens, prec = self.sensitivity, self.precision
+        if sens is None or prec is None or sens + prec == 0:
+            return None
+        return f1(prec, sens)
 
 
 class PredictionLogError(ValueError):
@@ -120,58 +152,41 @@ def confusion(records: Sequence[PredictionRecord]) -> ConfusionMatrix:
     return ConfusionMatrix(tp, fp, fn, tn)
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
+def _percent(part: int, whole: int) -> Optional[Fraction]:
+    return None if whole == 0 else Fraction(100 * part, whole)
+
+
+def accuracy(cm: ConfusionMatrix) -> Fraction:
     if cm.total == 0:
         raise ValueError("empty confusion matrix")
-    return 100.0 * (cm.tp + cm.tn) / cm.total
+    return _percent(cm.tp + cm.tn, cm.total)
 
 
-def sensitivity(cm: ConfusionMatrix) -> Optional[float]:
+def sensitivity(cm: ConfusionMatrix) -> Optional[Fraction]:
     """True positive rate; None when there are no positives."""
-    if cm.tp + cm.fn == 0:
-        return None
-    return 100.0 * cm.tp / (cm.tp + cm.fn)
+    return _percent(cm.tp, cm.tp + cm.fn)
 
 
-def specificity(cm: ConfusionMatrix) -> Optional[float]:
+def specificity(cm: ConfusionMatrix) -> Optional[Fraction]:
     """True negative rate; None when there are no negatives."""
-    if cm.tn + cm.fp == 0:
-        return None
-    return 100.0 * cm.tn / (cm.tn + cm.fp)
+    return _percent(cm.tn, cm.tn + cm.fp)
 
 
-def precision(cm: ConfusionMatrix) -> Optional[float]:
+def precision(cm: ConfusionMatrix) -> Optional[Fraction]:
     """Positive predictive value; None when nothing was predicted positive."""
-    if cm.tp + cm.fp == 0:
-        return None
-    return 100.0 * cm.tp / (cm.tp + cm.fp)
+    return _percent(cm.tp, cm.tp + cm.fp)
 
 
-def f1(precision_pct: float, recall_pct: float) -> float:
-    """Harmonic mean 2PR/(P+R) of two percentages."""
+def f1(precision_pct: Fraction | float, recall_pct: Fraction | float) -> Fraction | float:
+    """Harmonic mean 2PR/(P+R) of two percentages; exact for two Fractions."""
     if precision_pct + recall_pct == 0:
         raise ValueError("f1 undefined when precision + recall = 0")
-    return 2.0 * precision_pct * recall_pct / (precision_pct + recall_pct)
+    return 2 * precision_pct * recall_pct / (precision_pct + recall_pct)
 
 
 def metrics_report(records: Sequence[PredictionRecord]) -> MetricsReport:
-    """All five metrics from one confusion matrix; F1 is computed from this
-    report's own precision and sensitivity."""
-    cm = confusion(records)
-    sens = sensitivity(cm)
-    prec = precision(cm)
-    if sens is None or prec is None or sens + prec == 0:
-        f1_value = None
-    else:
-        f1_value = f1(prec, sens)
-    return MetricsReport(
-        confusion=cm,
-        accuracy=accuracy(cm),
-        sensitivity=sens,
-        specificity=specificity(cm),
-        precision=prec,
-        f1=f1_value,
-    )
+    """The metrics of `records`, from their confusion matrix."""
+    return MetricsReport(confusion(records))
 
 
 def paper_rounding(report: MetricsReport) -> dict[str, Optional[int]]:
@@ -179,38 +194,26 @@ def paper_rounding(report: MetricsReport) -> dict[str, Optional[int]]:
     accuracy/sensitivity/specificity/precision, truncation for F1 (the table's
     F1 cells are consistent only with truncation of 2PR/(P+R))."""
 
-    def nearest(v):
-        return None if v is None else math.floor(v + 0.5)
+    def cell(name, v):
+        if v is None:
+            return None
+        return math.floor(v) if name == "f1" else math.floor(v + Fraction(1, 2))
 
-    return {
-        "accuracy": nearest(report.accuracy),
-        "sensitivity": nearest(report.sensitivity),
-        "specificity": nearest(report.specificity),
-        "precision": nearest(report.precision),
-        "f1": None if report.f1 is None else math.floor(report.f1),
-    }
+    return {name: cell(name, getattr(report, name)) for name in METRICS}
+
+
+def _two_decimals(report: MetricsReport) -> dict[str, Optional[float]]:
+    """Each metric rounded once to two decimals, half to even."""
+    values = ((name, getattr(report, name)) for name in METRICS)
+    return {name: None if v is None else float(round(v, 2)) for name, v in values}
 
 
 def report_to_dict(report: MetricsReport, paper_round: bool = False) -> dict:
     """Machine-readable rendering; percentages carry two decimals."""
-
-    def fmt(v):
-        return None if v is None else round(v, 2)
-
+    cm = report.confusion
     d = {
-        "confusion": {
-            "tp": report.confusion.tp,
-            "fp": report.confusion.fp,
-            "fn": report.confusion.fn,
-            "tn": report.confusion.tn,
-        },
-        "metrics": {
-            "accuracy": fmt(report.accuracy),
-            "sensitivity": fmt(report.sensitivity),
-            "specificity": fmt(report.specificity),
-            "precision": fmt(report.precision),
-            "f1": fmt(report.f1),
-        },
+        "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
+        "metrics": _two_decimals(report),
     }
     if paper_round:
         d["paper_rounded"] = paper_rounding(report)
@@ -219,19 +222,10 @@ def report_to_dict(report: MetricsReport, paper_round: bool = False) -> dict:
 
 def render_report_text(report: MetricsReport, paper_round: bool = False) -> str:
     """Human-readable rendering of the same data."""
-
-    def pct(v):
-        return "n/a" if v is None else f"{v:.2f}%"
-
     cm = report.confusion
-    lines = [
-        f"confusion (positive=malignant): tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn}",
-        f"accuracy     {pct(report.accuracy)}",
-        f"sensitivity  {pct(report.sensitivity)}",
-        f"specificity  {pct(report.specificity)}",
-        f"precision    {pct(report.precision)}",
-        f"f1           {pct(report.f1)}",
-    ]
+    lines = [f"confusion (positive=malignant): tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn}"]
+    for name, v in _two_decimals(report).items():
+        lines.append(f"{name:<13}{'n/a' if v is None else f'{v:.2f}%'}")
     if paper_round:
         rounded = paper_rounding(report)
         cells = " ".join(

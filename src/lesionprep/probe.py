@@ -246,24 +246,8 @@ def format_model(model: LinearProbeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_model(text: str) -> LinearProbeModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows, cols = (int(t) for t in lines[0].split())
-    if rows != 2 or len(lines) != rows + 2:
-        raise ValueError("malformed model file")
-    weights = np.array([[float(v) for v in lines[1 + r].split()] for r in range(rows)])
-    bias = np.array([float(v) for v in lines[rows + 1].split()])
-    if weights.shape != (rows, cols):
-        raise ValueError("model weight row length mismatch")
-    return LinearProbeModel(weights, bias)
-
-
 def save_model(model: LinearProbeModel, path: str | Path) -> None:
     Path(path).write_text(format_model(model))
-
-
-def load_model(path: str | Path) -> LinearProbeModel:
-    return parse_model(Path(path).read_text())
 
 
 CURVE_HEADER = "iter,train_acc,val_acc,train_xent,val_xent"

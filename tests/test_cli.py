@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import logging
+import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lesionprep.cli import main
 from lesionprep.raster import Image, encode_netpbm
@@ -32,6 +41,49 @@ def dataset_root(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# metrics a hand-edited report.json might carry; `report` must not print them
+STALE_METRICS = dict.fromkeys(["accuracy", "sensitivity", "specificity", "precision", "f1"], 1.0)
+
+
+def write_log(path, tp, fp, fn, tn):
+    """A prediction log holding exactly the given confusion counts."""
+    rows = (
+        [("malignant", "malignant")] * tp
+        + [("malignant", "benign")] * fp
+        + [("benign", "malignant")] * fn
+        + [("benign", "benign")] * tn
+    )
+    lines = ["case_id,predicted,confidence,truth"]
+    lines += [f"{i},{pred},0.9,{truth}" for i, (pred, truth) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def exact_paper_cells(tp, fp, fn, tn):
+    """Published-table cells from the exact metrics: round half up, F1 truncated."""
+
+    def pct(part, whole):
+        return None if whole == 0 else Fraction(100 * part, whole)
+
+    exact = {
+        "accuracy": pct(tp + tn, tp + fp + fn + tn),
+        "sensitivity": pct(tp, tp + fn),
+        "specificity": pct(tn, tn + fp),
+        "precision": pct(tp, tp + fp),
+        "f1": pct(2 * tp, 2 * tp + fp + fn) if tp else None,
+    }
+    return {
+        k: None if v is None else math.floor(v if k == "f1" else v + Fraction(1, 2))
+        for k, v in exact.items()
+    }
+
+
+def paper_cells(text):
+    """The `paper-rounded:` line of a text report as {metric: int or None}."""
+    line = next(ln for ln in text.splitlines() if ln.startswith("paper-rounded:"))
+    cells = dict(cell.split("=") for cell in line.split()[1:])
+    return {k: None if v == "n/a" else int(v.rstrip("%")) for k, v in cells.items()}
 
 
 class TestSplit:
@@ -91,6 +143,17 @@ class TestPreprocess:
         manifest.write_text("path,label,split\nmissing.ppm,benign,train\n")
         assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
                    "--out-root", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\n")
+        with pytest.raises(SystemExit) as exc:
+            run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                "--out-root", tmp_path / "out", "--jobs", jobs)
+        assert exc.value.code == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestQuality:
@@ -169,6 +232,55 @@ class TestEvalAndReport:
         assert payload["metrics"]["accuracy"] == 85.71
         assert payload["paper_rounded"]["accuracy"] == 86
         assert run("report", out) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(tp=st.integers(0, 120), fp=st.integers(0, 120),
+           fn=st.integers(0, 120), tn=st.integers(0, 120))
+    @example(tp=1, fp=1, fn=22, tn=0)
+    @example(tp=1, fp=80, fn=119, tn=5)
+    def test_paper_rounding_is_exact(self, tp, fp, fn, tn):
+        # the examples once printed f1=7% from eval (float F1 truncated; the
+        # exact value is 8 %) and f1=1% from report (the 2-decimal JSON
+        # re-rounded; the exact value is 200/201 %)
+        assume(tp + fp + fn + tn > 0)
+        expected = exact_paper_cells(tp, fp, fn, tn)
+        with tempfile.TemporaryDirectory() as tmp:
+            log, out = Path(tmp) / "log.csv", Path(tmp) / "report.json"
+            write_log(log, tp, fp, fn, tn)
+            err, text = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run("eval", "--log", log, "--out", out, "--paper-rounding") == 0
+            assert json.loads(out.read_text())["paper_rounded"] == expected
+            assert paper_cells(err.getvalue()) == expected
+            with contextlib.redirect_stdout(text):
+                assert run("report", out, "--paper-rounding") == 0
+            assert paper_cells(text.getvalue()) == expected
+
+    def test_report_ignores_stored_metrics(self, tmp_path, capsys):
+        saved = tmp_path / "report.json"
+        saved.write_text(json.dumps({
+            "confusion": {"tp": 10, "fp": 2, "fn": 1, "tn": 8}, "metrics": STALE_METRICS,
+        }))
+        assert run("report", saved) == 0
+        assert "accuracy     85.71%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("confusion, field", [
+        ({"tp": 3, "fp": "3", "fn": 1, "tn": 1}, "fp"),
+        ({"tp": 3, "fp": 1, "fn": 1, "tn": -3}, "tn"),
+        ({"tp": 3, "fp": 1, "fn": 1.0, "tn": 1}, "fn"),
+        ({"tp": True, "fp": 1, "fn": 1, "tn": 1}, "tp"),
+        ({"tp": 3, "fp": 1, "fn": 1}, "tn"),
+    ], ids=["string", "negative", "float", "bool", "missing"])
+    def test_report_bad_count_is_data_error(self, tmp_path, capsys, caplog, confusion, field):
+        saved = tmp_path / "report.json"
+        saved.write_text(json.dumps({"confusion": confusion, "metrics": STALE_METRICS}))
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run("report", saved) == 2
+        message = caplog.records[-1].getMessage().split(": ", 1)[1]
+        assert f"'{field}'" in message or message.startswith(f"{field} ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_eval_missing_log_is_data_error(self, tmp_path):
         assert run("eval", "--log", tmp_path / "none.csv") == 2

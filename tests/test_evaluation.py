@@ -1,10 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lesionprep.evaluation import (
     ConfusionMatrix,
+    MetricsReport,
     PredictionLogError,
     PredictionRecord,
     accuracy,
@@ -83,6 +85,12 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion([])
 
+    @pytest.mark.parametrize("counts", [("3", 1, 1, 1), (1, -3, 1, 1), (1, 1, 1.0, 1),
+                                        (1, 1, 1, True)])
+    def test_rejects_non_count_values(self, counts):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            ConfusionMatrix(*counts)
+
     def test_permutation_invariance(self, data_dir):
         recs = load_log(data_dir, "table2_processed.csv")
         for perm in itertools.islice(itertools.permutations(recs), 0, 50, 7):
@@ -110,6 +118,14 @@ class TestScalarMetrics:
         assert precision(ConfusionMatrix(10, 2, 1, 8)) == pytest.approx(100 * 10 / 12)
         assert precision(ConfusionMatrix(4, 0, 1, 5)) == 100.0
         assert precision(ConfusionMatrix(0, 0, 1, 5)) is None
+
+    def test_metrics_are_exact_fractions(self):
+        cm = ConfusionMatrix(10, 2, 1, 8)
+        assert accuracy(cm) == Fraction(1800, 21)
+        assert sensitivity(cm) == Fraction(1000, 11)
+        assert specificity(cm) == 80
+        assert precision(cm) == Fraction(1000, 12)
+        assert f1(precision(cm), sensitivity(cm)) == Fraction(2000, 23)
 
     def test_f1_published_values(self):
         assert int(f1(70.0, 87.5)) == 77
@@ -158,6 +174,23 @@ class TestMetricsReport:
         assert rounded["accuracy"] == 86
         rounded = paper_rounding(metrics_report(load_log(data_dir, "table2_original.csv")))
         assert rounded["accuracy"] == 81
+
+    @pytest.mark.parametrize("counts, f1_cell, f1_text", [
+        ((1, 1, 22, 0), 8, "8.00%"),  # exactly 2/25; float F1 truncated to 7
+        ((1, 80, 119, 5), 0, "1.00%"),  # 200/201 %; re-rounding 1.00 gave 1
+    ])
+    def test_f1_cell_is_exact(self, counts, f1_cell, f1_text):
+        rep = MetricsReport(ConfusionMatrix(*counts))
+        assert rep.f1 == Fraction(200 * counts[0], 2 * counts[0] + counts[1] + counts[2])
+        assert paper_rounding(rep)["f1"] == f1_cell
+        assert f"f1           {f1_text}" in render_report_text(rep)
+        assert f"f1={f1_cell}%" in render_report_text(rep, paper_round=True)
+
+    def test_two_decimals_round_half_to_even(self):
+        # accuracy 2469/200 % = 12.345 exactly: a single rounding gives 12.34
+        rep = MetricsReport(ConfusionMatrix(2469, 20000 - 2469, 0, 0))
+        assert report_to_dict(rep)["metrics"]["accuracy"] == 12.34
+        assert "accuracy     12.34%" in render_report_text(rep)
 
     def test_sentinels_render_na(self):
         rep = metrics_report([record(1, "benign", "benign")])

@@ -14,7 +14,6 @@ from lesionprep.probe import (
     format_curve,
     format_model,
     gradient_check,
-    parse_model,
     softmax_predict,
     train_probe,
 )
@@ -212,11 +211,15 @@ class TestTraining:
 
 
 class TestPersistence:
-    def test_model_round_trip(self, rng):
+    def test_model_text_layout(self, rng):
+        # dims line, one line per weight row, bias line; 17 significant
+        # digits keep every value exact
         model = LinearProbeModel(rng.normal(size=(2, 7)), rng.normal(size=2))
-        restored = parse_model(format_model(model))
-        assert np.array_equal(restored.weights, model.weights)
-        assert np.array_equal(restored.bias, model.bias)
+        lines = format_model(model).splitlines()
+        assert lines[0] == "2 7"
+        rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
+        assert np.array_equal(np.array(rows[:2]), model.weights)
+        assert np.array_equal(np.array(rows[2]), model.bias)
 
     def test_curve_header(self):
         text = format_curve([CurvePoint(1, 0.5, 0.5, 0.7, 0.7)])

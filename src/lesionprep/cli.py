@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataset, evaluation, probe, quality
 from .preprocess import PreprocessConfig, preprocess_pipeline
-from .raster import Image, decode_netpbm, encode_netpbm
+from .raster import GrayImage, Image, decode_netpbm, encode_netpbm
 
 log = logging.getLogger("lesionprep")
 
@@ -87,8 +87,6 @@ def _preprocess_one(task):
     Path(pre_path).parent.mkdir(parents=True, exist_ok=True)
     Path(pre_path).write_bytes(encode_netpbm(refined))
     mask_u8 = np.where(mask.bits, 255, 0).astype(np.uint8)
-    from .raster import GrayImage
-
     Path(mask_path).write_bytes(encode_netpbm(GrayImage(mask_u8)))
     return rel_path, mask.count()
 
@@ -291,13 +289,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
+    t = probe.TrainConfig  # class attributes hold the field defaults
     p = sub.add_parser("train-probe", help="train the softmax layer on fixed features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--images-root", required=True)
-    p.add_argument("--learning-rate", type=float, default=0.005)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=5000)
-    p.add_argument("--eval-interval", type=int, default=50)
+    p.add_argument("--learning-rate", type=float, default=t.learning_rate)
+    p.add_argument("--batch-size", type=int, default=t.batch_size)
+    p.add_argument("--iterations", type=int, default=t.iterations)
+    p.add_argument("--eval-interval", type=int, default=t.eval_interval)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--curve-out", required=True)
@@ -328,10 +327,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except DataError as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
 

@@ -3,7 +3,9 @@ hair removal (detect via oriented grayscale closings, inpaint along the short
 axis of each hair, median-smooth the replaced region).
 
 All stages are pure functions on immutable rasters; every parameter lives in
-PreprocessConfig so stages can be re-run or ablated deterministically.
+PreprocessConfig so stages can be re-run or ablated deterministically. The
+filters work on whole arrays: the blur and the sharpen treat all three
+channels in one pass, and detection closes the three channel planes at once.
 """
 
 from __future__ import annotations
@@ -88,12 +90,11 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _blur_float(values: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian on a float 2-D array, replicate borders."""
+    """Separable Gaussian over the first two axes (rows, then columns),
+    replicate borders; any trailing axes are filtered independently."""
     k = _gaussian_kernel(sigma)
-    r = len(k) // 2
-    padded = np.pad(values.astype(np.float64), r, mode="edge")
-    rows = np.apply_along_axis(np.convolve, 1, padded, k, mode="valid")
-    return np.apply_along_axis(np.convolve, 0, rows, k, mode="valid")
+    rows = ndimage.correlate1d(values.astype(np.float64), k, axis=1, mode="nearest")
+    return ndimage.correlate1d(rows, k, axis=0, mode="nearest")
 
 
 def _round_u8(values: np.ndarray) -> np.ndarray:
@@ -111,19 +112,11 @@ def unsharp_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) ->
     """Sharpen: out = in + amount * (in - blur(in)), where the detail signal
     exceeds the threshold; per channel, clamped to [0, 255]."""
     src = image.pixels.astype(np.int32)
-    out = src.copy()
-    if config.sharpen_amount == 0:
-        return Image(out.astype(np.uint8))
-    for c in range(3):
-        channel = src[:, :, c]
-        blurred = _round_u8(_blur_float(channel, config.sharpen_sigma)).astype(np.int32)
-        detail = channel - blurred
-        boosted = np.clip(
-            np.floor(channel + config.sharpen_amount * detail + 0.5), 0, 255
-        ).astype(np.int32)
-        apply = np.abs(detail) > config.sharpen_threshold
-        out[:, :, c] = np.where(apply, boosted, channel)
-    return Image(out.astype(np.uint8))
+    blurred = _round_u8(_blur_float(src, config.sharpen_sigma)).astype(np.int32)
+    detail = src - blurred
+    boosted = np.clip(np.floor(src + config.sharpen_amount * detail + 0.5), 0, 255)
+    apply = np.abs(detail) > config.sharpen_threshold
+    return Image(np.where(apply, boosted, src).astype(np.uint8))
 
 
 def _line_offsets(length: int, orientation: int) -> list[tuple[int, int]]:
@@ -136,45 +129,45 @@ def _line_offsets(length: int, orientation: int) -> list[tuple[int, int]]:
     return [(d * dy, d * dx) for d in range(-half, half + 1)]
 
 
-def _shift_reduce(values: np.ndarray, offsets, take_max: bool) -> np.ndarray:
-    """Flat dilation (max) or erosion (min) with the SE clipped at borders.
+def _overlap(d: int, n: int) -> slice:
+    """Indices i of an n-long axis whose neighbour i + d is also inside it."""
+    return slice(max(-d, 0), n - max(d, 0))
 
-    Out-of-image SE elements are ignored; the fill value is the identity of
-    the reduction so it never contributes.
+
+def _close(values: np.ndarray, offsets) -> np.ndarray:
+    """Flat grayscale closing over the last two axes: dilation (max), then
+    erosion (min), with the SE clipped at borders.
+
+    Out-of-image SE elements are skipped. Every SE holds the (0, 0) offset, so
+    each reduction can start from its own input.
     """
-    h, w = values.shape
-    fill = 0 if take_max else 255
-    acc = np.full_like(values, fill)
-    for dy, dx in offsets:
-        shifted = np.full_like(values, fill)
-        ys = slice(max(-dy, 0), min(h - dy, h))
-        xs = slice(max(-dx, 0), min(w - dx, w))
-        src_ys = slice(max(dy, 0), min(h + dy, h))
-        src_xs = slice(max(dx, 0), min(w + dx, w))
-        shifted[ys, xs] = values[src_ys, src_xs]
-        acc = np.maximum(acc, shifted) if take_max else np.minimum(acc, shifted)
-    return acc
+    h, w = values.shape[-2:]
+    inside = [(dy, dx) for dy, dx in offsets if abs(dy) < h and abs(dx) < w]
+    out = values
+    for reduce in (np.maximum, np.minimum):
+        src, out = out, out.copy()
+        for dy, dx in inside:
+            dst = out[..., _overlap(dy, h), _overlap(dx, w)]
+            reduce(dst, src[..., _overlap(-dy, h), _overlap(-dx, w)], out=dst)
+    return out
 
 
 def morph_close_line(image: GrayImage, length: int, orientation: int) -> GrayImage:
     """Grayscale closing (dilate then erode) with a line SE at the given
     orientation; the SE is clipped to the image at borders."""
-    offsets = _line_offsets(length, orientation)
-    dilated = _shift_reduce(image.values, offsets, take_max=True)
-    return GrayImage(_shift_reduce(dilated, offsets, take_max=False))
+    return GrayImage(_close(image.values, _line_offsets(length, orientation)))
 
 
 def detect_hair_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) -> HairMask:
     """Mark pixels whose closing residue exceeds the hair threshold in any
     color channel at any orientation. Closings fill dark structures thinner
     than the SE, so the residue lights up exactly on hair-like strokes."""
-    mask = np.zeros(image.pixels.shape[:2], dtype=bool)
-    for c in range(3):
-        channel = GrayImage(image.pixels[:, :, c])
-        plane = channel.values.astype(np.int32)
-        for orientation in ORIENTATIONS:
-            closed = morph_close_line(channel, config.se_length, orientation)
-            mask |= (closed.values.astype(np.int32) - plane) > config.hair_threshold
+    planes = np.ascontiguousarray(np.moveaxis(image.pixels, -1, 0))  # (3, h, w)
+    mask = np.zeros(planes.shape[1:], dtype=bool)
+    for orientation in ORIENTATIONS:
+        closed = _close(planes, _line_offsets(config.se_length, orientation))
+        # a closing never darkens a pixel, so the uint8 residue cannot wrap
+        mask |= ((closed - planes) > config.hair_threshold).any(axis=0)
     return HairMask(mask)
 
 

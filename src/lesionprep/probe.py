@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .raster import Image, to_grayscale
 
@@ -26,9 +27,6 @@ CLASSES = ("benign", "malignant")
 # Max per-axis Sobel response on 8-bit data is 4*255; the magnitude bound
 # normalizes the edge feature into [0, 1].
 _SOBEL_MAX = 1020.0 * math.sqrt(2.0)
-
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-_SOBEL_Y = _SOBEL_X.T
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,8 @@ def extract_features(image: Image) -> np.ndarray:
     stds = flat.std(axis=0) / 255.0
 
     gray = to_grayscale(image).values.astype(np.float64)
-    padded = np.pad(gray, 1, mode="edge")
-    gx = np.zeros_like(gray)
-    gy = np.zeros_like(gray)
-    h, w = gray.shape
-    for dy in range(3):
-        for dx in range(3):
-            window = padded[dy : dy + h, dx : dx + w]
-            gx += _SOBEL_X[dy, dx] * window
-            gy += _SOBEL_Y[dy, dx] * window
+    gx = ndimage.sobel(gray, axis=1, mode="nearest")
+    gy = ndimage.sobel(gray, axis=0, mode="nearest")
     edge = float(np.mean(np.hypot(gx, gy))) / _SOBEL_MAX
 
     return np.concatenate(parts + [means, stds, [edge]])

@@ -7,11 +7,13 @@ before the payload) and decode(encode(x)) == x for every valid raster.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+_SKIP = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*")  # whitespace and comments
 
 
 class NetpbmError(ValueError):
@@ -83,9 +85,10 @@ class GrayImage:
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """Next whitespace-delimited header token, after any whitespace and
+    ``#`` comments (which run to the next CR or LF)."""
     n = len(data)
-    while pos < n and data[pos] in _WHITESPACE:
-        pos += 1
+    pos = _SKIP.match(data, pos).end()
     if pos >= n:
         raise NetpbmError("unexpected end of header", pos)
     start = pos

@@ -132,6 +132,16 @@ class TestPreprocess:
             out2 / "preprocess_log.jsonl"
         ).read_bytes()
 
+    def test_image_shorter_than_the_se(self, tmp_path):
+        # 3 px tall: the 11 px vertical and diagonal SEs overhang both borders
+        arr = np.random.default_rng(3).integers(0, 256, size=(3, 50, 3), dtype=np.uint8)
+        (tmp_path / "thin.ppm").write_bytes(encode_netpbm(Image(arr)))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\nthin.ppm,benign,train\n")
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                   "--out-root", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "thin.pre.ppm").exists()
+
     def test_empty_manifest_warns_and_succeeds(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\n")

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lesionprep.preprocess import (
     ORIENTATIONS,
     HairMask,
     PreprocessConfig,
+    _blur_float,
+    _gaussian_kernel,
+    _round_u8,
     clean_mask,
     detect_hair_mask,
     gaussian_blur,
@@ -24,6 +30,29 @@ _DIRS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
 
 
 # ---------------------------------------------------------------- oracles
+
+def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian of a 2-D array: edge padding, then one 1-D
+    convolution per row and per column."""
+    k = _gaussian_kernel(sigma)
+    r = len(k) // 2
+    padded = np.pad(values.astype(np.float64), r, mode="edge")
+    rows = np.apply_along_axis(np.convolve, 1, padded, k, mode="valid")
+    return np.apply_along_axis(np.convolve, 0, rows, k, mode="valid")
+
+
+def unsharp_oracle(pixels: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """Unsharp mask one channel at a time."""
+    src = pixels.astype(np.int32)
+    out = src.copy()
+    for c in range(3):
+        channel = src[:, :, c]
+        blurred = _round_u8(blur_oracle(channel, config.sharpen_sigma)).astype(np.int32)
+        detail = channel - blurred
+        boosted = np.clip(np.floor(channel + config.sharpen_amount * detail + 0.5), 0, 255)
+        out[:, :, c] = np.where(np.abs(detail) > config.sharpen_threshold, boosted, channel)
+    return out.astype(np.uint8)
+
 
 def closing_oracle(values: np.ndarray, length: int, orientation: int) -> np.ndarray:
     """Per-pixel min/max evaluation of dilation-then-erosion, SE clipped."""
@@ -45,6 +74,27 @@ def closing_oracle(values: np.ndarray, length: int, orientation: int) -> np.ndar
 
     dilated = sweep(values, max, 0)
     return sweep(dilated, min, 255)
+
+
+def detect_oracle(pixels: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """OR of the per-channel, per-orientation closing residues."""
+    mask = np.zeros(pixels.shape[:2], dtype=bool)
+    for c in range(3):
+        plane = pixels[:, :, c]
+        for orientation in ORIENTATIONS:
+            closed = closing_oracle(plane, config.se_length, orientation)
+            mask |= closed.astype(int) - plane > config.hair_threshold
+    return mask
+
+
+def u8_arrays(*trailing):
+    """uint8 arrays whose two leading sides are 1-40 px."""
+    sides = st.tuples(st.integers(1, 40), st.integers(1, 40))
+    return sides.flatmap(lambda hw: hnp.arrays(np.uint8, hw + trailing))
+
+
+sigmas = st.floats(0.3, 3.0)
+se_lengths = st.sampled_from([3, 5, 7, 11])
 
 
 def label_components_oracle(bits: np.ndarray):
@@ -105,6 +155,12 @@ class TestGaussianBlur:
         with pytest.raises(ValueError):
             gaussian_blur(GrayImage(np.zeros((4, 4), np.uint8)), 0.0)
 
+    @settings(deadline=None)
+    @given(u8_arrays(), sigmas)
+    def test_matches_padded_convolution_oracle(self, values, sigma):
+        got = _round_u8(_blur_float(values, sigma))
+        assert np.array_equal(got, _round_u8(blur_oracle(values, sigma)))
+
 
 # ---------------------------------------------------------------- unsharp
 
@@ -145,6 +201,15 @@ class TestUnsharpMask:
         expected = np.where(np.abs(detail) > 0, expected, profile)
         assert out.pixels[8, :, 1].tolist() == expected.tolist()
 
+    @settings(deadline=None)
+    @given(u8_arrays(3), sigmas, st.floats(0.0, 3.0), st.integers(0, 40))
+    def test_matches_per_channel_oracle(self, pixels, sigma, amount, threshold):
+        cfg = PreprocessConfig(
+            sharpen_sigma=sigma, sharpen_amount=amount, sharpen_threshold=threshold
+        )
+        got = unsharp_mask(Image(pixels), cfg).pixels
+        assert np.array_equal(got, unsharp_oracle(pixels, cfg))
+
 
 # ---------------------------------------------------------------- closing
 
@@ -158,12 +223,16 @@ class TestMorphClose:
                 assert morph_close_line(closed, 5, orientation) == closed
 
     def test_matches_brute_force_oracle(self, rng):
-        for _ in range(6):
-            img = GrayImage(rng.integers(0, 256, size=(12, 12), dtype=np.uint8))
+        # every side from 1 to 12 px at length 11 includes SEs longer than the image
+        cases = [((12, 12), 7)] * 6 + [
+            ((h, w), 11) for h in range(1, 13) for w in range(1, 13)
+        ]
+        for shape, length in cases:
+            img = GrayImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
             for orientation in ORIENTATIONS:
-                got = morph_close_line(img, 7, orientation).values
-                want = closing_oracle(img.values, 7, orientation)
-                assert np.array_equal(got, want)
+                got = morph_close_line(img, length, orientation).values
+                want = closing_oracle(img.values, length, orientation)
+                assert np.array_equal(got, want), (shape, length, orientation)
 
     def test_removes_thin_dark_line(self):
         arr = np.full((32, 32), 200, np.uint8)
@@ -212,6 +281,13 @@ class TestDetectHairMask:
         mask = detect_hair_mask(img)
         interior = np.hypot(yy - 64, xx - 64) <= 27
         assert not (mask.bits & interior).any()
+
+    @settings(deadline=None)
+    @given(u8_arrays(3), se_lengths, st.integers(0, 30))
+    def test_matches_per_channel_closing_oracle(self, pixels, se_length, threshold):
+        cfg = PreprocessConfig(se_length=se_length, hair_threshold=threshold)
+        got = detect_hair_mask(Image(pixels), cfg).bits
+        assert np.array_equal(got, detect_oracle(pixels, cfg))
 
 
 # ---------------------------------------------------------------- cleaning

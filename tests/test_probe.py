@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lesionprep.probe import (
     FEATURE_DIM,
@@ -17,13 +20,37 @@ from lesionprep.probe import (
     softmax_predict,
     train_probe,
 )
-from lesionprep.raster import Image
+from lesionprep.raster import Image, to_grayscale
 
 
 def uniform_image(r, g, b, size=4):
     arr = np.zeros((size, size, 3), np.uint8)
     arr[:, :, 0], arr[:, :, 1], arr[:, :, 2] = r, g, b
     return Image(arr)
+
+
+rgb_arrays = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+    lambda hw: hnp.arrays(np.uint8, hw + (3,))
+)
+
+
+def edge_oracle(img):
+    """Mean Sobel magnitude of the luma, replicate borders, pixel by pixel."""
+    g = to_grayscale(img).values.astype(float)
+    h, w = g.shape
+    kx = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
+    total = 0.0
+    for y in range(h):
+        for x in range(w):
+            gx = gy = 0.0
+            for dy in range(-1, 2):
+                for dx in range(-1, 2):
+                    yy = min(max(y + dy, 0), h - 1)
+                    xx = min(max(x + dx, 0), w - 1)
+                    gx += kx[dy + 1][dx + 1] * g[yy, xx]
+                    gy += kx[dx + 1][dy + 1] * g[yy, xx]
+            total += math.hypot(gx, gy)
+    return total / (h * w) / (1020 * math.sqrt(2))
 
 
 def make_blobs(rng, n=100, dim=2, sep=0.6):
@@ -69,26 +96,11 @@ class TestExtractFeatures:
         expected_edge = 1020.0 / (1020.0 * math.sqrt(2))
         assert f[54] == pytest.approx(expected_edge)
 
-    def test_edge_oracle_brute_force(self, rng):
-        img = Image(rng.integers(0, 256, size=(5, 6, 3), dtype=np.uint8))
-        f = extract_features(img)
-        from lesionprep.raster import to_grayscale
-
-        g = to_grayscale(img).values.astype(float)
-        h, w = g.shape
-        kx = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
-        total = 0.0
-        for y in range(h):
-            for x in range(w):
-                gx = gy = 0.0
-                for dy in range(-1, 2):
-                    for dx in range(-1, 2):
-                        yy = min(max(y + dy, 0), h - 1)
-                        xx = min(max(x + dx, 0), w - 1)
-                        gx += kx[dy + 1][dx + 1] * g[yy, xx]
-                        gy += kx[dx + 1][dy + 1] * g[yy, xx]
-                total += math.hypot(gx, gy)
-        assert f[54] == pytest.approx(total / (h * w) / (1020 * math.sqrt(2)))
+    @settings(deadline=None)
+    @given(rgb_arrays)
+    def test_edge_oracle_brute_force(self, pixels):
+        img = Image(pixels)
+        assert extract_features(img)[54] == pytest.approx(edge_oracle(img), rel=1e-12, abs=0)
 
 
 class TestSoftmax:

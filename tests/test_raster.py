@@ -36,6 +36,17 @@ class TestDecode:
         img = decode_netpbm(b"P5\n2 1\t255\n\x00\xff")
         assert img.values.tolist() == [[0, 255]]
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n# made by gimp\n2 1\n255\n",
+        b"P5 2 # width, then height\r1\n#\n255\n",
+    ])
+    def test_skips_header_comments(self, header):
+        assert decode_netpbm(header + b"\x00\xff").values.tolist() == [[0, 255]]
+
+    def test_unterminated_comment_ends_header(self):
+        with pytest.raises(NetpbmError, match="unexpected end of header"):
+            decode_netpbm(b"P6 2 2 # no newline")
+
     def test_bad_magic_offset(self):
         with pytest.raises(NetpbmError, match="offset 0"):
             decode_netpbm(b"P4 1 1 255\n\x00")

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -79,15 +80,30 @@ def _out_paths(out_root: Path, rel_path: str) -> tuple[Path, Path]:
     return stem_dir / f"{rel.stem}.pre.ppm", stem_dir / f"{rel.stem}.mask.pgm"
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write to a temp file beside ``path``, then rename it onto ``path``, so
+    a failed or killed write never leaves a truncated file under that name."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _preprocess_one(task):
     """Worker: returns (rel_path, masked_pixels) or raises DataError."""
     rel_path, src_path, pre_path, mask_path, config = task
     image = _load_image(Path(src_path))
-    refined, mask = preprocess_pipeline(image, config)
+    try:
+        refined, mask = preprocess_pipeline(image, config)
+    except ValueError as exc:
+        raise DataError(f"{src_path}: {exc}") from exc
     Path(pre_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(pre_path).write_bytes(encode_netpbm(refined))
+    _write_atomic(Path(pre_path), encode_netpbm(refined))
     mask_u8 = np.where(mask.bits, 255, 0).astype(np.uint8)
-    Path(mask_path).write_bytes(encode_netpbm(GrayImage(mask_u8)))
+    _write_atomic(Path(mask_path), encode_netpbm(GrayImage(mask_u8)))
     return rel_path, mask.count()
 
 

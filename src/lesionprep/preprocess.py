@@ -3,9 +3,12 @@ hair removal (detect via oriented grayscale closings, inpaint along the short
 axis of each hair, median-smooth the replaced region).
 
 All stages are pure functions on immutable rasters; every parameter lives in
-PreprocessConfig so stages can be re-run or ablated deterministically. The
-filters work on whole arrays: the blur and the sharpen treat all three
-channels in one pass, and detection closes the three channel planes at once.
+PreprocessConfig so stages can be re-run or ablated deterministically. Every
+stage works on whole arrays: the blur and the sharpen treat all three
+channels in one pass, detection closes the three channel planes at once,
+inpainting walks all masked pixels along each orientation with running
+min/max scans over the image laid out as lines, and smoothing sorts the
+windows of all masked pixels in one call.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .raster import GrayImage, Image
@@ -191,35 +195,28 @@ def clean_mask(mask: HairMask, config: PreprocessConfig = PreprocessConfig()) ->
     return HairMask(dilated)
 
 
-def _run_extent(bits: np.ndarray, y: int, x: int, dy: int, dx: int) -> tuple[int, int]:
-    """Masked run lengths from (y, x) exclusive, forward (+d) and backward."""
-    h, w = bits.shape
-    fwd = 0
-    yy, xx = y + dy, x + dx
-    while 0 <= yy < h and 0 <= xx < w and bits[yy, xx]:
-        fwd += 1
-        yy += dy
-        xx += dx
-    bwd = 0
-    yy, xx = y - dy, x - dx
-    while 0 <= yy < h and 0 <= xx < w and bits[yy, xx]:
-        bwd += 1
-        yy -= dy
-        xx -= dx
-    return fwd, bwd
+def _check_shape(image: Image, mask: HairMask) -> None:
+    if (mask.height, mask.width) != (image.height, image.width):
+        raise ValueError(
+            f"mask {mask.width}x{mask.height} does not match image "
+            f"{image.width}x{image.height}"
+        )
 
 
-def _sample_outward(bits: np.ndarray, y: int, x: int, dy: int, dx: int, start: int):
-    """First unmasked in-image pixel at >= ``start`` steps from (y, x), or None."""
-    h, w = bits.shape
-    step = start
-    while True:
-        yy, xx = y + step * dy, x + step * dx
-        if not (0 <= yy < h and 0 <= xx < w):
-            return None
-        if not bits[yy, xx]:
-            return yy, xx, step
-        step += 1
+def _line_coords(h: int, w: int, orientation: int):
+    """Line and step of every pixel when the image is read line by line along
+    the orientation's direction, and the number and length of the lines."""
+    dy, dx = _DIRECTIONS[orientation]
+    y, x = np.indices((h, w))
+    if dy == 0:
+        return y, x, h, w
+    if dx == 0:
+        return x, y, w, h
+    # diagonals: one line per value of y - dy * x, stepping along x
+    return y - dy * x + (w - 1 if dy > 0 else 0), x, h + w - 1, w
+
+
+_MASKED, _SENTINEL = 1, 2  # layout codes; an unmasked pixel is 0
 
 
 def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> Image:
@@ -227,69 +224,98 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     orientation where the masked run through it is shortest.
 
     Endpoint samples sit interp_margin pixels beyond the run ends (walking
-    further if still masked); when one side leaves the image the other side's
-    value is copied. Unmasked pixels are returned untouched.
+    further if still masked). The orientation is picked per pixel: one with
+    samples on both sides wins over one with a single side, then the shorter
+    run wins, then the earlier of ORIENTATIONS. A pixel with two sides gets
+    the distance-weighted mean of both samples, one with a single side a copy
+    of it, and one with no side (every line through it is masked to the
+    border) is left unchanged. Unmasked pixels are returned untouched.
     """
-    if (mask.height, mask.width) != (image.height, image.width):
-        raise ValueError(
-            f"mask {mask.width}x{mask.height} does not match image "
-            f"{image.width}x{image.height}"
-        )
+    _check_shape(image, mask)
     bits = mask.bits
-    src = image.pixels
-    out = src.copy()
+    if not bits.any():
+        return image
+    h, w = bits.shape
     margin = max(config.interp_margin, 1)
-    for y, x in np.argwhere(bits):
-        best = None
-        for orientation in ORIENTATIONS:
-            dy, dx = _DIRECTIONS[orientation]
-            fwd, bwd = _run_extent(bits, y, x, dy, dx)
-            side_a = _sample_outward(bits, y, x, dy, dx, fwd + margin)
-            side_b = _sample_outward(bits, y, x, -dy, -dx, bwd + margin)
-            n_sides = (side_a is not None) + (side_b is not None)
-            # orientations that allow two-sided interpolation win over
-            # one-sided ones; among equals the shortest masked run wins
-            key = (-n_sides, fwd + bwd + 1)
-            if best is None or key < best[0]:
-                best = (key, side_a, side_b)
-        _, side_a, side_b = best
-        if side_a is None and side_b is None:
-            continue  # every line through the pixel is masked to the border
-        if side_a is None or side_b is None:
-            sy, sx, _ = side_a if side_b is None else side_b
-            out[y, x] = src[sy, sx]
-            continue
-        ya, xa, da = side_a
-        yb, xb, db = side_b
-        va = src[ya, xa].astype(np.float64)
-        vb = src[yb, xb].astype(np.float64)
-        out[y, x] = np.floor((db * va + da * vb) / (da + db) + 0.5).astype(np.uint8)
-    return Image(out)
+    ys, xs = np.nonzero(bits)
+    pixels = ys * w + xs
+    candidates = []
+    for orientation in ORIENTATIONS:
+        line, step, n_lines, length = _line_coords(h, w, orientation)
+        # the mask laid out one line per row, each row led by a sentinel and
+        # an all-sentinel row last; sentinels also fill the cells of diagonal
+        # rows outside the image, so a line's pixels stay contiguous
+        stride = length + 1
+        layout = np.full((n_lines + 1, stride), _SENTINEL, dtype=np.int8)
+        layout[line, step + 1] = bits
+        layout = layout.ravel()
+        ks = line[ys, xs] * stride + step[ys, xs] + 1
+        n = len(layout)
+        # int32 positions make the scans below about 2.5x faster than int64
+        pos = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
+        # a walk stops at an unmasked pixel or a sentinel; position 0 is one
+        stop = layout != _MASKED
+        next_stop = np.minimum.accumulate(np.where(stop, pos, n)[::-1])[::-1]
+        prev_stop = np.maximum.accumulate(np.where(stop, pos, 0))
+        fwd = next_stop[ks] - ks - 1
+        bwd = ks - prev_stop[ks] - 1
+        # the sample is the first stop at or beyond run + margin steps; it is
+        # a side if it is an unmasked pixel on the same line
+        a = next_stop[np.minimum(ks + fwd + margin, n - 1)]
+        b = prev_stop[np.maximum(ks - bwd - margin, 0)]
+        has_a = (layout[a] != _SENTINEL) & (a // stride == ks // stride)
+        has_b = (layout[b] != _SENTINEL) & (b // stride == ks // stride)
+        # more sides first, then the shorter run
+        score = (2 - has_a - has_b) * (h + w + 1) + fwd + bwd + 1
+        dist_a, dist_b = a - ks, ks - b
+        dy, dx = _DIRECTIONS[orientation]
+        flat_step = dy * w + dx
+        candidates.append((score, pixels + dist_a * flat_step, pixels - dist_b * flat_step,
+                           dist_a, dist_b, has_a, has_b))
+    table = np.array(candidates)  # (orientation, field, masked pixel)
+    best = table[:, 0].argmin(axis=0)  # the first minimum: ties go to the earlier orientation
+    _, side_a, side_b, dist_a, dist_b, has_a, has_b = table[best, :, np.arange(len(pixels))].T
+    has_a, has_b = has_a.astype(bool), has_b.astype(bool)
 
-
-def _lower_median(window: np.ndarray) -> np.ndarray:
-    """Per-channel lower median: sorted element at index (n-1)//2.
-
-    Integer-valued for any window size, so border-clipped even-count windows
-    stay deterministic.
-    """
-    flat = window.reshape(-1, window.shape[-1])
-    ordered = np.sort(flat, axis=0)
-    return ordered[(flat.shape[0] - 1) // 2]
+    src = image.pixels.reshape(-1, 3)
+    out = src.copy()
+    two = has_a & has_b
+    va = src[side_a[two]].astype(np.float64)
+    vb = src[side_b[two]].astype(np.float64)
+    da = dist_a[two, None]
+    db = dist_b[two, None]
+    out[pixels[two]] = np.floor((db * va + da * vb) / (da + db) + 0.5).astype(np.uint8)
+    only_a = has_a & ~has_b
+    out[pixels[only_a]] = src[side_a[only_a]]
+    only_b = has_b & ~has_a
+    out[pixels[only_b]] = src[side_b[only_b]]
+    return Image(out.reshape(image.pixels.shape))
 
 
 def smooth_inpainted(image: Image, mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> Image:
-    """Median-filter the masked region only; the window clips at borders."""
-    if (mask.height, mask.width) != (image.height, image.width):
-        raise ValueError("mask dimensions do not match image")
-    half = config.median_window // 2
-    src = image.pixels
-    out = src.copy()
+    """Median-filter the masked region only; the window clips at borders.
+
+    Each masked pixel takes the per-channel lower median of the in-image
+    pixels of its window: element (count - 1) // 2 of the sorted values, an
+    integer for any count, so clipped even-count windows stay deterministic.
+    """
+    _check_shape(image, mask)
+    ys, xs = np.nonzero(mask.bits)
+    if len(ys) == 0:
+        return image
+    win = config.median_window
+    half = win // 2
     h, w = mask.bits.shape
-    for y, x in np.argwhere(mask.bits):
-        window = src[max(y - half, 0) : min(y + half + 1, h),
-                     max(x - half, 0) : min(x + half + 1, w)]
-        out[y, x] = _lower_median(window)
+    src = image.pixels
+    # -1 marks out-of-image window cells and sorts below every pixel value
+    padded = np.pad(src.astype(np.int16), ((half, half), (half, half), (0, 0)), constant_values=-1)
+    windows = sliding_window_view(padded, (win, win), axis=(0, 1))[ys, xs]
+    ordered = np.sort(windows.reshape(len(ys), 3, win * win), axis=-1)
+    count = ((np.minimum(ys + half, h - 1) - np.maximum(ys - half, 0) + 1)
+             * (np.minimum(xs + half, w - 1) - np.maximum(xs - half, 0) + 1))
+    rank = (win * win - count) + (count - 1) // 2
+    out = src.copy()
+    out[ys, xs] = np.take_along_axis(ordered, rank[:, None, None], axis=-1)[..., 0]
     return Image(out)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lesionprep import cli
 from lesionprep.cli import main
 from lesionprep.raster import Image, encode_netpbm
 
@@ -153,6 +154,38 @@ class TestPreprocess:
         manifest.write_text("path,label,split\nmissing.ppm,benign,train\n")
         assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
                    "--out-root", tmp_path / "out") == 2
+
+    def test_pipeline_error_names_the_image(self, tmp_path, caplog, monkeypatch):
+        write_image(tmp_path / "a.ppm", seed=1, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\na.ppm,benign,train\n")
+
+        def fail(image, config):
+            raise ValueError("pipeline exploded")
+
+        monkeypatch.setattr(cli, "preprocess_pipeline", fail)
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                       "--out-root", tmp_path / "out", "--jobs", 1) == 2
+        message = caplog.records[-1].getMessage()
+        assert str(tmp_path / "a.ppm") in message and "pipeline exploded" in message
+
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
+        write_image(tmp_path / "a.ppm", seed=1, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\na.ppm,benign,train\n")
+        out = tmp_path / "out"
+        real_write_bytes = Path.write_bytes
+
+        def write_half_then_fail(path, data):
+            real_write_bytes(path, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                   "--out-root", out, "--jobs", 1) == 2
+        monkeypatch.undo()
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

@@ -87,11 +87,100 @@ def detect_oracle(pixels: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     return mask
 
 
+def _run_extent(bits: np.ndarray, y: int, x: int, dy: int, dx: int) -> tuple[int, int]:
+    """Masked run lengths from (y, x) exclusive, forward (+d) and backward."""
+    h, w = bits.shape
+    fwd = 0
+    yy, xx = y + dy, x + dx
+    while 0 <= yy < h and 0 <= xx < w and bits[yy, xx]:
+        fwd += 1
+        yy += dy
+        xx += dx
+    bwd = 0
+    yy, xx = y - dy, x - dx
+    while 0 <= yy < h and 0 <= xx < w and bits[yy, xx]:
+        bwd += 1
+        yy -= dy
+        xx -= dx
+    return fwd, bwd
+
+
+def _sample_outward(bits: np.ndarray, y: int, x: int, dy: int, dx: int, start: int):
+    """First unmasked in-image pixel at >= ``start`` steps from (y, x), or None."""
+    h, w = bits.shape
+    step = start
+    while True:
+        yy, xx = y + step * dy, x + step * dx
+        if not (0 <= yy < h and 0 <= xx < w):
+            return None
+        if not bits[yy, xx]:
+            return yy, xx, step
+        step += 1
+
+
+def inpaint_oracle(pixels: np.ndarray, bits: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """Walk every masked pixel's four lines one step at a time."""
+    out = pixels.copy()
+    margin = max(config.interp_margin, 1)
+    for y, x in np.argwhere(bits):
+        best = None
+        for orientation in ORIENTATIONS:
+            dy, dx = _DIRS[orientation]
+            fwd, bwd = _run_extent(bits, y, x, dy, dx)
+            side_a = _sample_outward(bits, y, x, dy, dx, fwd + margin)
+            side_b = _sample_outward(bits, y, x, -dy, -dx, bwd + margin)
+            n_sides = (side_a is not None) + (side_b is not None)
+            key = (-n_sides, fwd + bwd + 1)
+            if best is None or key < best[0]:
+                best = (key, side_a, side_b)
+        _, side_a, side_b = best
+        if side_a is None and side_b is None:
+            continue
+        if side_a is None or side_b is None:
+            sy, sx, _ = side_a if side_b is None else side_b
+            out[y, x] = pixels[sy, sx]
+            continue
+        ya, xa, da = side_a
+        yb, xb, db = side_b
+        va = pixels[ya, xa].astype(np.float64)
+        vb = pixels[yb, xb].astype(np.float64)
+        out[y, x] = np.floor((db * va + da * vb) / (da + db) + 0.5).astype(np.uint8)
+    return out
+
+
+def _lower_median(window: np.ndarray) -> np.ndarray:
+    """Per-channel sorted element at index (n-1)//2."""
+    flat = window.reshape(-1, window.shape[-1])
+    return np.sort(flat, axis=0)[(flat.shape[0] - 1) // 2]
+
+
+def smooth_oracle(pixels: np.ndarray, bits: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """Sort one border-clipped window per masked pixel."""
+    half = config.median_window // 2
+    out = pixels.copy()
+    h, w = bits.shape
+    for y, x in np.argwhere(bits):
+        window = pixels[max(y - half, 0) : min(y + half + 1, h),
+                        max(x - half, 0) : min(x + half + 1, w)]
+        out[y, x] = _lower_median(window)
+    return out
+
 def u8_arrays(*trailing):
     """uint8 arrays whose two leading sides are 1-40 px."""
     sides = st.tuples(st.integers(1, 40), st.integers(1, 40))
     return sides.flatmap(lambda hw: hnp.arrays(np.uint8, hw + trailing))
 
+
+
+@st.composite
+def masked_images(draw):
+    """uint8 RGB pixels and a mask of any density, all-clear and all-masked
+    included; sides are 1-30 px, so masks often touch the borders."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    pixels = draw(hnp.arrays(np.uint8, (h, w, 3)))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return pixels, np.random.default_rng(seed).random((h, w)) < density
 
 sigmas = st.floats(0.3, 3.0)
 se_lengths = st.sampled_from([3, 5, 7, 11])
@@ -365,6 +454,28 @@ class TestInpaintHair:
         with pytest.raises(ValueError):
             inpaint_hair(img, HairMask(np.zeros((5, 5), bool)))
 
+    def test_single_masked_pixel_without_sides_is_unchanged(self):
+        img = Image(np.array([[[7, 8, 9]]], np.uint8))
+        out = inpaint_hair(img, HairMask(np.ones((1, 1), bool)))
+        assert out == img
+
+    def test_single_row_interpolates_along_the_row(self):
+        row = np.array([10, 0, 0, 0, 50], np.uint8)
+        img = Image(np.stack([row[None, :]] * 3, axis=-1))
+        bits = np.array([[False, True, True, True, False]])
+        cfg = PreprocessConfig(interp_margin=1)
+        out = inpaint_hair(img, HairMask(bits), cfg)
+        assert out.pixels[0, :, 0].tolist() == [10, 20, 30, 40, 50]
+        assert np.array_equal(out.pixels, inpaint_oracle(img.pixels, bits, cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(masked_images(), st.integers(0, 5))
+    def test_matches_scalar_oracle(self, case, margin):
+        pixels, bits = case
+        cfg = PreprocessConfig(interp_margin=margin)
+        got = inpaint_hair(Image(pixels), HairMask(bits), cfg)
+        assert np.array_equal(got.pixels, inpaint_oracle(pixels, bits, cfg))
+
 
 # ---------------------------------------------------------------- smoothing
 
@@ -396,6 +507,32 @@ class TestSmoothInpainted:
         bits = rng.random((16, 16)) < 0.2
         out = smooth_inpainted(img, HairMask(bits))
         assert np.array_equal(out.pixels[~bits], img.pixels[~bits])
+
+    def test_dimension_mismatch_names_both_sizes(self):
+        img = Image(np.zeros((4, 6, 3), np.uint8))
+        with pytest.raises(ValueError) as exc:
+            smooth_inpainted(img, HairMask(np.zeros((5, 3), bool)))
+        assert "3x5" in str(exc.value) and "6x4" in str(exc.value)
+
+    def test_single_masked_pixel_is_its_own_median(self):
+        img = Image(np.array([[[7, 8, 9]]], np.uint8))
+        assert smooth_inpainted(img, HairMask(np.ones((1, 1), bool))) == img
+
+    def test_single_row_takes_the_lower_median_of_the_clipped_window(self):
+        row = np.array([10, 40, 20, 30, 50], np.uint8)
+        img = Image(np.stack([row[None, :]] * 3, axis=-1))
+        bits = np.ones((1, 5), bool)
+        out = smooth_inpainted(img, HairMask(bits), PreprocessConfig(median_window=3))
+        # windows {10,40} {10,40,20} {40,20,30} {20,30,50} {30,50}
+        assert out.pixels[0, :, 0].tolist() == [10, 20, 30, 30, 30]
+
+    @settings(max_examples=100, deadline=None)
+    @given(masked_images(), st.sampled_from([3, 5, 7]))
+    def test_matches_scalar_oracle(self, case, window):
+        pixels, bits = case
+        cfg = PreprocessConfig(median_window=window)
+        got = smooth_inpainted(Image(pixels), HairMask(bits), cfg)
+        assert np.array_equal(got.pixels, smooth_oracle(pixels, bits, cfg))
 
 
 # ---------------------------------------------------------------- pipeline

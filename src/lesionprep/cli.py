@@ -4,6 +4,10 @@ Subcommands: preprocess, quality, split, train-probe, eval, report.
 Exit codes: 0 success, 1 usage error, 2 data error. All randomness flows
 through explicit --seed flags; reruns with the same inputs and flags produce
 byte-identical outputs regardless of --jobs.
+
+Each subcommand imports only the modules it runs: split, eval and report use
+the standard library alone, quality and train-probe add numpy, and only
+preprocess loads scipy.
 """
 
 from __future__ import annotations
@@ -14,14 +18,9 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import dataset, evaluation, probe, quality
-from .preprocess import PreprocessConfig, preprocess_pipeline
-from .raster import GrayImage, Image, decode_netpbm, encode_netpbm
+from . import dataset, evaluation
 
 log = logging.getLogger("lesionprep")
 
@@ -48,7 +47,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load_image(path: Path) -> Image:
+def _load_image(path: Path):
+    from .raster import Image, decode_netpbm
+
     try:
         img = decode_netpbm(path.read_bytes())
     except (OSError, ValueError) as exc:
@@ -58,20 +59,11 @@ def _load_image(path: Path) -> Image:
     return img
 
 
-def _config_from_args(args) -> PreprocessConfig:
-    return PreprocessConfig(
-        sharpen_sigma=args.sharpen_sigma,
-        sharpen_amount=args.sharpen_amount,
-        sharpen_threshold=args.sharpen_threshold,
-        se_length=args.se_length,
-        hair_threshold=args.hair_threshold,
-        min_component_span=args.min_component_span,
-        max_thinness=args.max_thinness,
-        interp_margin=args.interp_margin,
-        median_window=args.median_window,
-        sharpen_enabled=not args.no_sharpen,
-        hair_removal_enabled=not args.no_hair_removal,
-    )
+def _config(cls, args):
+    """A ``cls`` dataclass from the parsed flags named after its fields; the
+    flags left out are absent from ``args`` and keep the field defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _out_paths(out_root: Path, rel_path: str) -> tuple[Path, Path]:
@@ -94,6 +86,11 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 def _preprocess_one(task):
     """Worker: returns (rel_path, masked_pixels) or raises DataError."""
+    import numpy as np
+
+    from .preprocess import preprocess_pipeline
+    from .raster import GrayImage, encode_netpbm
+
     rel_path, src_path, pre_path, mask_path, config = task
     image = _load_image(Path(src_path))
     try:
@@ -108,7 +105,10 @@ def _preprocess_one(task):
 
 
 def cmd_preprocess(args) -> int:
-    config = _config_from_args(args)
+    # loads scipy here, in the parent, so that forked pool workers inherit it
+    from .preprocess import PreprocessConfig
+
+    config = _config(PreprocessConfig, args)
     log.info("preprocess config: %s", config)
     entries = dataset.read_manifest(args.manifest)
     images_root = Path(args.images_root)
@@ -122,6 +122,8 @@ def cmd_preprocess(args) -> int:
         pre_path, mask_path = _out_paths(out_root, e.path)
         tasks.append((e.path, str(images_root / e.path), str(pre_path), str(mask_path), config))
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_preprocess_one, tasks))
     else:
@@ -137,6 +139,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_quality(args) -> int:
+    from . import quality
+
     entries = dataset.read_manifest(args.manifest)
     images_root = Path(args.images_root)
     pre_root = Path(args.pre_root)
@@ -156,7 +160,7 @@ def cmd_quality(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config = dataset.SplitConfig(seed=args.seed, train_fraction=args.fraction)
+    config = _config(dataset.SplitConfig, args)
     log.info("split config: %s", config)
     try:
         entries = dataset.scan_dataset(args.root)
@@ -172,13 +176,15 @@ def cmd_split(args) -> int:
 
 
 def _features_for(entries, images_root: Path):
+    import numpy as np
+
+    from . import probe
+
     labels = {"benign": 0, "malignant": 1}
     X, y = [], []
     for e in entries:
         X.append(probe.extract_features(_load_image(images_root / e.path)))
         y.append(labels[e.label])
-    if not X:
-        return np.zeros((0, probe.FEATURE_DIM)), np.zeros(0, dtype=np.int64)
     return np.array(X), np.array(y, dtype=np.int64)
 
 
@@ -211,13 +217,9 @@ def _render_curve_svg(curve, path: Path) -> None:
 
 
 def cmd_train_probe(args) -> int:
-    config = probe.TrainConfig(
-        seed=args.seed,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        iterations=args.iterations,
-        eval_interval=args.eval_interval,
-    )
+    from . import probe
+
+    config = _config(probe.TrainConfig, args)
     log.info("train config: %s", config)
     entries = dataset.read_manifest(args.manifest)
     images_root = Path(args.images_root)
@@ -264,18 +266,17 @@ def cmd_report(args) -> int:
 
 
 def _add_preprocess_flags(p: _Parser) -> None:
-    d = PreprocessConfig()
-    p.add_argument("--sharpen-sigma", type=float, default=d.sharpen_sigma)
-    p.add_argument("--sharpen-amount", type=float, default=d.sharpen_amount)
-    p.add_argument("--sharpen-threshold", type=int, default=d.sharpen_threshold)
-    p.add_argument("--se-length", type=int, default=d.se_length)
-    p.add_argument("--hair-threshold", type=int, default=d.hair_threshold)
-    p.add_argument("--min-component-span", type=int, default=d.min_component_span)
-    p.add_argument("--max-thinness", type=float, default=d.max_thinness)
-    p.add_argument("--interp-margin", type=int, default=d.interp_margin)
-    p.add_argument("--median-window", type=int, default=d.median_window)
-    p.add_argument("--no-sharpen", action="store_true")
-    p.add_argument("--no-hair-removal", action="store_true")
+    p.add_argument("--sharpen-sigma", type=float)
+    p.add_argument("--sharpen-amount", type=float)
+    p.add_argument("--sharpen-threshold", type=int)
+    p.add_argument("--se-length", type=int)
+    p.add_argument("--hair-threshold", type=int)
+    p.add_argument("--min-component-span", type=int)
+    p.add_argument("--max-thinness", type=float)
+    p.add_argument("--interp-margin", type=int)
+    p.add_argument("--median-window", type=int)
+    p.add_argument("--no-sharpen", dest="sharpen_enabled", action="store_false")
+    p.add_argument("--no-hair-removal", dest="hair_removal_enabled", action="store_false")
 
 
 def build_parser() -> _Parser:
@@ -283,7 +284,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("preprocess", help="sharpen + hair removal over a manifest")
+    # with SUPPRESS a config flag left out keeps its dataclass default (`_config`)
+    p = sub.add_parser("preprocess", help="sharpen + hair removal over a manifest",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--images-root", required=True)
     p.add_argument("--out-root", required=True)
@@ -298,21 +301,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quality)
 
-    p = sub.add_parser("split", help="scan a dataset and write a split manifest")
+    p = sub.add_parser("split", help="scan a dataset and write a split manifest",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--root", required=True)
-    p.add_argument("--fraction", type=float, default=0.75)
+    p.add_argument("--fraction", dest="train_fraction", type=float)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
-    t = probe.TrainConfig  # class attributes hold the field defaults
-    p = sub.add_parser("train-probe", help="train the softmax layer on fixed features")
+    p = sub.add_parser("train-probe", help="train the softmax layer on fixed features",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--images-root", required=True)
-    p.add_argument("--learning-rate", type=float, default=t.learning_rate)
-    p.add_argument("--batch-size", type=int, default=t.batch_size)
-    p.add_argument("--iterations", type=int, default=t.iterations)
-    p.add_argument("--eval-interval", type=int, default=t.eval_interval)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--eval-interval", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--curve-out", required=True)

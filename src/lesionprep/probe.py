@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import Image, to_grayscale
 
@@ -85,12 +84,19 @@ def extract_features(image: Image) -> np.ndarray:
     means = flat.mean(axis=0) / 255.0
     stds = flat.std(axis=0) / 255.0
 
-    gray = to_grayscale(image).values.astype(np.float64)
-    gx = ndimage.sobel(gray, axis=1, mode="nearest")
-    gy = ndimage.sobel(gray, axis=0, mode="nearest")
+    gx, gy = _sobel(to_grayscale(image).values.astype(np.float64))
     edge = float(np.mean(np.hypot(gx, gy))) / _SOBEL_MAX
 
     return np.concatenate(parts + [means, stds, [edge]])
+
+
+def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel responses along x and y with replicate borders. The luma holds
+    integers, so float64 sums them exactly in any order."""
+    p = np.pad(gray, 1, mode="edge")
+    dx = p[:, 2:] - p[:, :-2]
+    dy = p[2:] - p[:-2]
+    return dx[:-2] + 2 * dx[1:-1] + dx[2:], dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]
 
 
 def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray:
@@ -106,35 +112,42 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return -math.log(max(float(probabilities[true_label]), 1e-12))
 
 
-def _batch_probs(model: LinearProbeModel, features: np.ndarray) -> np.ndarray:
-    logits = features @ model.weights.T + model.bias
+# The private helpers take the raw (weights, bias) arrays, so the training
+# loop does not build and validate a LinearProbeModel on every iteration.
+def _batch_probs(weights, bias, features: np.ndarray) -> np.ndarray:
+    logits = features @ weights.T + bias
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def batch_loss(model: LinearProbeModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over a batch."""
-    probs = _batch_probs(model, features)
+def _loss(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
+    probs = _batch_probs(weights, bias, features)
     p_true = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
     return float(np.mean(-np.log(p_true)))
+
+
+def _gradient(weights, bias, features: np.ndarray, labels: np.ndarray):
+    delta = _batch_probs(weights, bias, features)
+    delta[np.arange(len(labels)), labels] -= 1.0
+    return delta.T @ features / len(labels), delta.mean(axis=0)
+
+
+def _accuracy(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
+    preds = _batch_probs(weights, bias, features).argmax(axis=1)
+    return float(np.mean(preds == labels))
+
+
+def batch_loss(model: LinearProbeModel, features: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy over a batch."""
+    return _loss(model.weights, model.bias, features, labels)
 
 
 def batch_gradient(
     model: LinearProbeModel, features: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the mean cross-entropy wrt (weights, bias)."""
-    probs = _batch_probs(model, features)
-    delta = probs.copy()
-    delta[np.arange(len(labels)), labels] -= 1.0
-    grad_w = delta.T @ features / len(labels)
-    grad_b = delta.mean(axis=0)
-    return grad_w, grad_b
-
-
-def _accuracy(model: LinearProbeModel, features: np.ndarray, labels: np.ndarray) -> float:
-    preds = _batch_probs(model, features).argmax(axis=1)
-    return float(np.mean(preds == labels))
+    return _gradient(model.weights, model.bias, features, labels)
 
 
 def train_probe(
@@ -159,22 +172,21 @@ def train_probe(
     Xv = np.asarray(val_features, dtype=np.float64).reshape(-1, X.shape[1])
     yv = np.asarray(val_labels, dtype=np.int64)
 
-    model = LinearProbeModel.zeros(X.shape[1])
-    weights = model.weights.copy()
-    bias = model.bias.copy()
+    weights = np.zeros((2, X.shape[1]))
+    bias = np.zeros(2)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(X))
     cursor = 0
     curve = []
 
     def record(iteration: int):
-        m = LinearProbeModel(weights, bias)
         if len(Xv):
-            va, vx = _accuracy(m, Xv, yv), batch_loss(m, Xv, yv)
+            va, vx = _accuracy(weights, bias, Xv, yv), _loss(weights, bias, Xv, yv)
         else:
             va, vx = math.nan, math.nan
         curve.append(
-            CurvePoint(iteration, _accuracy(m, X, y), va, batch_loss(m, X, y), vx)
+            CurvePoint(iteration, _accuracy(weights, bias, X, y), va,
+                       _loss(weights, bias, X, y), vx)
         )
 
     for it in range(1, config.iterations + 1):
@@ -183,8 +195,7 @@ def train_probe(
             cursor = 0
         idx = order[cursor : cursor + config.batch_size]
         cursor += config.batch_size
-        m = LinearProbeModel(weights, bias)
-        grad_w, grad_b = batch_gradient(m, X[idx], y[idx])
+        grad_w, grad_b = _gradient(weights, bias, X[idx], y[idx])
         weights -= config.learning_rate * grad_w
         bias -= config.learning_rate * grad_b
         if it % config.eval_interval == 0 or it == config.iterations:
@@ -213,8 +224,7 @@ def gradient_check(
     d = model.weights.shape[1]
 
     def loss_at(vec: np.ndarray) -> float:
-        m = LinearProbeModel(vec[: 2 * d].reshape(2, d), vec[2 * d :])
-        return batch_loss(m, X, y)
+        return _loss(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)
 
     numeric = np.empty_like(theta)
     for i in range(len(theta)):

@@ -34,53 +34,67 @@ def _samples(image: Image | GrayImage) -> np.ndarray:
     return arr.astype(np.float64).ravel()
 
 
-def _check_dims(reference, test):
+def _sample_pair(reference, test) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 samples of both images, which must have the same size."""
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"dimension mismatch: {reference.width}x{reference.height} vs "
             f"{test.width}x{test.height}"
         )
+    return _samples(reference), _samples(test)
+
+
+# The private helpers take the samples or their difference, so `quality_row`
+# converts each image once and computes every metric from the same arrays.
+def _mse(d: np.ndarray) -> float:
+    return float(np.mean(d * d))
+
+
+def _psnr(m: float) -> float:
+    return math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m)
+
+
+def _maxerr(d: np.ndarray) -> int:
+    return int(np.max(np.abs(d)))
+
+
+def _l2rat(ref: np.ndarray, t: np.ndarray) -> float:
+    denom = float(np.sum(ref * ref))
+    if denom == 0:
+        raise ValueError("l2rat undefined for an all-zero reference")
+    return float(np.sum(t * t)) / denom
 
 
 def mse(reference: Image | GrayImage, test: Image | GrayImage) -> float:
     """Mean squared error over all channel samples."""
-    _check_dims(reference, test)
-    d = _samples(reference) - _samples(test)
-    return float(np.mean(d * d))
+    return _mse(np.subtract(*_sample_pair(reference, test)))
 
 
 def psnr(reference: Image | GrayImage, test: Image | GrayImage) -> float:
     """10*log10(255^2 / MSE) in dB; +inf for identical images."""
-    m = mse(reference, test)
-    if m == 0:
-        return math.inf
-    return 10.0 * math.log10(PEAK_SQUARED / m)
+    return _psnr(mse(reference, test))
 
 
 def maxerr(reference: Image | GrayImage, test: Image | GrayImage) -> int:
     """Maximum absolute per-sample deviation."""
-    _check_dims(reference, test)
-    return int(np.max(np.abs(_samples(reference) - _samples(test))))
+    return _maxerr(np.subtract(*_sample_pair(reference, test)))
 
 
 def l2rat(reference: Image | GrayImage, test: Image | GrayImage) -> float:
     """Squared-energy ratio sum(test^2) / sum(reference^2)."""
-    _check_dims(reference, test)
-    ref = _samples(reference)
-    denom = float(np.sum(ref * ref))
-    if denom == 0:
-        raise ValueError("l2rat undefined for an all-zero reference")
-    t = _samples(test)
-    return float(np.sum(t * t)) / denom
+    return _l2rat(*_sample_pair(reference, test))
 
 
 def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayImage) -> QualityRow:
+    ref, t = _sample_pair(reference, test)
+    d = ref - t
+    m = _mse(d)
     return QualityRow(
         image_id=image_id,
-        psnr=psnr(reference, test),
-        mse=mse(reference, test),
-        maxerr=maxerr(reference, test),
-        l2rat=l2rat(reference, test),
+        psnr=_psnr(m),
+        mse=m,
+        maxerr=_maxerr(d),
+        l2rat=_l2rat(ref, t),
         width=reference.width,
         height=reference.height,
     )

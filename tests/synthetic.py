@@ -45,8 +45,7 @@ def _add_lesion(canvas: np.ndarray, rng: np.random.Generator) -> None:
     canvas -= alpha * depth
 
 
-def _hair_alpha(size: int, p0, p1, width: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+def _hair_alpha(yy: np.ndarray, xx: np.ndarray, p0, p1, width: float) -> np.ndarray:
     d = np.array(p1) - np.array(p0)
     length2 = float(d @ d)
     t = np.clip(((yy - p0[0]) * d[0] + (xx - p0[1]) * d[1]) / length2, 0.0, 1.0)
@@ -75,10 +74,19 @@ def generate_sample(seed: int, size: int = 224, n_hairs: int = 5) -> HairyLesion
         length = rng.uniform(60, 140)
         cy, cx = rng.uniform(0.15, 0.85, size=2) * size
         dy, dx = np.sin(angle) * length / 2, np.cos(angle) * length / 2
-        alpha = _hair_alpha(size, (cy - dy, cx - dx), (cy + dy, cx + dx), rng.uniform(1.6, 2.4))
+        p0, p1 = (cy - dy, cx - dx), (cy + dy, cx + dx)
+        width = rng.uniform(1.6, 2.4)
+        # alpha is exactly 0 farther than width / 2 + 0.5 px from the stroke,
+        # and compositing alpha 0 leaves a pixel as it is, so only the
+        # stroke's padded bounding box is computed
+        pad = width / 2 + 1
+        y0, x0 = np.clip(np.floor(np.minimum(p0, p1) - pad), 0, size).astype(int)
+        y1, x1 = np.clip(np.ceil(np.maximum(p0, p1) + pad) + 1, 0, size).astype(int)
+        yy, xx = np.mgrid[y0:y1, x0:x1].astype(np.float64)
+        alpha = _hair_alpha(yy, xx, p0, p1, width)[:, :, None]
         hair_value = rng.uniform(20, 45)
-        for c in range(3):
-            hairy_rgb[:, :, c] = alpha * hair_value + (1 - alpha) * hairy_rgb[:, :, c]
+        box = hairy_rgb[y0:y1, x0:x1]
+        box[...] = alpha * hair_value + (1 - alpha) * box
 
     clean_u8 = np.floor(clean_rgb + 0.5).astype(np.uint8)
     hairy_u8 = np.floor(hairy_rgb + 0.5).astype(np.uint8)

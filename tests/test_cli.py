@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import logging
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lesionprep import cli
+from lesionprep import preprocess
 from lesionprep.cli import main
+from lesionprep.dataset import SplitConfig
+from lesionprep.preprocess import PreprocessConfig
+from lesionprep.probe import TrainConfig
 from lesionprep.raster import Image, encode_netpbm
 
 from synthetic import generate_sample
@@ -163,7 +167,7 @@ class TestPreprocess:
         def fail(image, config):
             raise ValueError("pipeline exploded")
 
-        monkeypatch.setattr(cli, "preprocess_pipeline", fail)
+        monkeypatch.setattr(preprocess, "preprocess_pipeline", fail)
         with caplog.at_level(logging.ERROR, logger="lesionprep"):
             assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
                        "--out-root", tmp_path / "out", "--jobs", 1) == 2
@@ -263,6 +267,52 @@ class TestTrainProbe:
                 "--model-out", model_out, "--curve-out", curve_out)
             outs.append((model_out.read_bytes(), curve_out.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestConfigFlags:
+    """Each config flag sets its dataclass field; an omitted flag keeps the
+    dataclass default."""
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], PreprocessConfig()),
+        (["--sharpen-sigma", 1.5, "--sharpen-amount", 0.5, "--sharpen-threshold", 3,
+          "--se-length", 9, "--hair-threshold", 12, "--min-component-span", 7,
+          "--max-thinness", 0.25, "--interp-margin", 1, "--median-window", 3,
+          "--no-sharpen", "--no-hair-removal"],
+         PreprocessConfig(1.5, 0.5, 3, 9, 12, 7, 0.25, 1, 3, False, False)),
+    ])
+    def test_preprocess(self, tmp_path, flags, expected):
+        write_image(tmp_path / "a.ppm", seed=1, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\na.ppm,benign,train\n")
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                   "--out-root", tmp_path / "out", *flags) == 0
+        record = json.loads((tmp_path / "out" / "preprocess_log.jsonl").read_text())
+        assert record["config"] == dataclasses.asdict(expected)
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], SplitConfig(seed=4)),
+        (["--fraction", 0.5], SplitConfig(seed=4, train_fraction=0.5)),
+    ])
+    def test_split(self, dataset_root, tmp_path, caplog, flags, expected):
+        with caplog.at_level(logging.INFO, logger="lesionprep"):
+            assert run("split", "--root", dataset_root, "--seed", 4,
+                       "--out", tmp_path / "m.csv", *flags) == 0
+        assert f"split config: {expected}" in caplog.messages
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], TrainConfig(seed=4)),
+        (["--learning-rate", 0.1, "--batch-size", 8, "--iterations", 30, "--eval-interval", 10],
+         TrainConfig(4, 0.1, 8, 30, 10)),
+    ])
+    def test_train_probe(self, dataset_root, tmp_path, caplog, flags, expected):
+        manifest = tmp_path / "m.csv"
+        run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
+        with caplog.at_level(logging.INFO, logger="lesionprep"):
+            assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
+                       "--seed", 4, "--model-out", tmp_path / "model.txt",
+                       "--curve-out", tmp_path / "curve.csv", *flags) == 0
+        assert f"train config: {expected}" in caplog.messages
 
 
 class TestEvalAndReport:

@@ -1,0 +1,87 @@
+"""Each subcommand imports only what it runs: split, eval and report run on the
+standard library alone, and quality and train-probe need numpy but not scipy.
+
+Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
+so an import that fails cannot pass by ending the command early.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lesionprep
+from lesionprep.cli import main
+from test_cli import write_image, write_log
+
+SRC = Path(lesionprep.__file__).parents[1]
+
+# argv[1] is the result file, the rest goes to the CLI
+GUARD = """
+import json, sys
+from lesionprep.cli import main
+code = main(sys.argv[2:])
+loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+with open(sys.argv[1], "w") as f:
+    json.dump({"code": code, "loaded": loaded}, f)
+"""
+
+
+def run_fresh(tmp_path, *argv):
+    """Runs ``lesionprep.cli.main(argv)`` in a new interpreter; returns its
+    exit code and which of numpy and scipy it left in ``sys.modules``."""
+    result = tmp_path / "guard.json"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", GUARD, str(result), *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, check=True, timeout=120,
+        capture_output=True,
+    )
+    payload = json.loads(result.read_text())
+    return payload["code"], payload["loaded"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A small dataset with its manifest, preprocessed images, a prediction
+    log and its eval report, all made in this process."""
+    d = tmp_path_factory.mktemp("imports")
+    data = d / "data"
+    for i in range(4):
+        write_image(data / "train" / "benign" / f"b{i}.ppm", seed=i, bright=True)
+        write_image(data / "train" / "malignant" / f"m{i}.ppm", seed=100 + i, bright=False)
+    write_image(data / "test" / "benign" / "t0.ppm", seed=200, bright=True)
+    write_log(d / "log.csv", tp=5, fp=2, fn=1, tn=7)
+    for argv in (
+        ["split", "--root", data, "--seed", 3, "--out", d / "manifest.csv"],
+        ["preprocess", "--manifest", d / "manifest.csv", "--images-root", data, "--out-root", d / "pre"],
+        ["eval", "--log", d / "log.csv", "--out", d / "report.json"],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    return d
+
+
+def commands(d, tmp_path):
+    return {
+        "split": ["split", "--root", d / "data", "--seed", 3, "--out", tmp_path / "m.csv"],
+        "eval": ["eval", "--log", d / "log.csv", "--out", tmp_path / "r.json", "--paper-rounding"],
+        "report": ["report", d / "report.json"],
+        "quality": ["quality", "--manifest", d / "manifest.csv", "--images-root", d / "data",
+                    "--pre-root", d / "pre", "--out", tmp_path / "q.csv"],
+        "train-probe": ["train-probe", "--manifest", d / "manifest.csv", "--images-root", d / "data",
+                        "--seed", 1, "--iterations", 20, "--model-out", tmp_path / "model.txt",
+                        "--curve-out", tmp_path / "curve.csv"],
+    }
+
+
+@pytest.mark.parametrize("command", ["split", "eval", "report"])
+def test_stdlib_only_subcommands_import_no_numpy(inputs, tmp_path, command):
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, [])
+
+
+@pytest.mark.parametrize("command", ["quality", "train-probe"])
+def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, ["numpy"])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
+from lesionprep import probe
 from lesionprep.probe import (
     FEATURE_DIM,
     CurvePoint,
@@ -51,6 +53,11 @@ def edge_oracle(img):
                     gy += kx[dx + 1][dy + 1] * g[yy, xx]
             total += math.hypot(gx, gy)
     return total / (h * w) / (1020 * math.sqrt(2))
+
+
+def sobel_oracle(gray):
+    """scipy's Sobel responses along x and y with replicate borders."""
+    return ndimage.sobel(gray, axis=1, mode="nearest"), ndimage.sobel(gray, axis=0, mode="nearest")
 
 
 def make_blobs(rng, n=100, dim=2, sep=0.6):
@@ -101,6 +108,19 @@ class TestExtractFeatures:
     def test_edge_oracle_brute_force(self, pixels):
         img = Image(pixels)
         assert extract_features(img)[54] == pytest.approx(edge_oracle(img), rel=1e-12, abs=0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(lambda hw: hnp.arrays(np.uint8, hw)))
+    def test_sobel_matches_scipy_bit_for_bit(self, luma):
+        gray = luma.astype(np.float64)
+        for got, want in zip(probe._sobel(gray), sobel_oracle(gray)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 40), (2, 1), (40, 1), (40, 40)])
+    def test_sobel_matches_scipy_on_thin_planes(self, rng, shape):
+        gray = rng.integers(0, 256, size=shape).astype(np.float64)
+        for got, want in zip(probe._sobel(gray), sobel_oracle(gray)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmax:

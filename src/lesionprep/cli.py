@@ -241,7 +241,7 @@ def cmd_eval(args) -> int:
         records = evaluation.parse_prediction_log(Path(args.log).read_bytes())
         report = evaluation.metrics_report(records)
     except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(f"{args.log}: {exc}") from exc
     payload = evaluation.report_to_dict(report, paper_round=args.paper_rounding)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -275,7 +275,6 @@ def _add_preprocess_flags(p: _Parser) -> None:
     p.add_argument("--max-thinness", type=float)
     p.add_argument("--interp-margin", type=int)
     p.add_argument("--median-window", type=int)
-    p.add_argument("--no-sharpen", dest="sharpen_enabled", action="store_false")
     p.add_argument("--no-hair-removal", dest="hair_removal_enabled", action="store_false")
 
 

@@ -165,12 +165,16 @@ def format_manifest(entries: Iterable[ManifestEntry]) -> str:
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    header = rows[0] if rows else None
     if header != MANIFEST_HEADER:
         raise ValueError(f"bad manifest header {header!r}")
     entries = []
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:

@@ -1,12 +1,13 @@
 """Classifier-agnostic evaluation: prediction-log parsing, confusion matrix,
 and accuracy / sensitivity / specificity / precision / F1 in percent.
 
-The positive class is fixed to malignant. Every metric is an exact
-`fractions.Fraction` computed from the four confusion counts, so a report
-can never disagree with its counts. Undefined ratios (empty denominator) are
-returned as None and rendered "n/a", never silently 0 or 100. Renderings
-round each exact value once: to two decimals half to even, or to the
-published table's whole percentages (see `paper_rounding`).
+The positive class is fixed to malignant. The metrics are the properties of
+`MetricsReport`: each is an exact `fractions.Fraction` computed from the four
+confusion counts, so a report can never disagree with its counts. Undefined
+ratios (empty denominator) are returned as None and rendered "n/a", never
+silently 0 or 100. Renderings round each exact value once: to two decimals
+half to even, or to the published table's whole percentages (see
+`paper_rounding`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
 
+def _percent(part: int, whole: int) -> Optional[Fraction]:
+    return None if whole == 0 else Fraction(100 * part, whole)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """The five metrics, each computed from `confusion` on access."""
@@ -57,19 +62,25 @@ class MetricsReport:
 
     @property
     def accuracy(self) -> Fraction:
-        return accuracy(self.confusion)
+        cm = self.confusion
+        if cm.total == 0:
+            raise ValueError("empty confusion matrix")
+        return _percent(cm.tp + cm.tn, cm.total)
 
     @property
     def sensitivity(self) -> Optional[Fraction]:
-        return sensitivity(self.confusion)
+        """True positive rate; None when there are no positives."""
+        return _percent(self.confusion.tp, self.confusion.tp + self.confusion.fn)
 
     @property
     def specificity(self) -> Optional[Fraction]:
-        return specificity(self.confusion)
+        """True negative rate; None when there are no negatives."""
+        return _percent(self.confusion.tn, self.confusion.tn + self.confusion.fp)
 
     @property
     def precision(self) -> Optional[Fraction]:
-        return precision(self.confusion)
+        """Positive predictive value; None when nothing was predicted positive."""
+        return _percent(self.confusion.tp, self.confusion.tp + self.confusion.fp)
 
     @property
     def f1(self) -> Optional[Fraction]:
@@ -105,14 +116,21 @@ def parse_prediction_log(data: bytes | str) -> list[PredictionRecord]:
     ("97.8%"). Errors name the offending line; duplicate case_ids name both
     lines involved.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise PredictionLogError(f"not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise PredictionLogError(f"line {reader.line_num}: {exc}") from None
+    header = rows[0] if rows else None
     if header is None or [h.strip() for h in header] != LOG_HEADER:
         raise PredictionLogError(f"bad header {header!r}, expected {LOG_HEADER}")
     records = []
     seen: dict[str, int] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 4:
@@ -150,31 +168,6 @@ def confusion(records: Sequence[PredictionRecord]) -> ConfusionMatrix:
             else:
                 tn += 1
     return ConfusionMatrix(tp, fp, fn, tn)
-
-
-def _percent(part: int, whole: int) -> Optional[Fraction]:
-    return None if whole == 0 else Fraction(100 * part, whole)
-
-
-def accuracy(cm: ConfusionMatrix) -> Fraction:
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    return _percent(cm.tp + cm.tn, cm.total)
-
-
-def sensitivity(cm: ConfusionMatrix) -> Optional[Fraction]:
-    """True positive rate; None when there are no positives."""
-    return _percent(cm.tp, cm.tp + cm.fn)
-
-
-def specificity(cm: ConfusionMatrix) -> Optional[Fraction]:
-    """True negative rate; None when there are no negatives."""
-    return _percent(cm.tn, cm.tn + cm.fp)
-
-
-def precision(cm: ConfusionMatrix) -> Optional[Fraction]:
-    """Positive predictive value; None when nothing was predicted positive."""
-    return _percent(cm.tp, cm.tp + cm.fp)
 
 
 def f1(precision_pct: Fraction | float, recall_pct: Fraction | float) -> Fraction | float:

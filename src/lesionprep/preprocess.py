@@ -66,7 +66,6 @@ class PreprocessConfig:
     max_thinness: float = 0.5        # max area / bbox_area of a kept component
     interp_margin: int = 2           # sampling offset beyond each hair run end
     median_window: int = 5           # smoothing window, odd px
-    sharpen_enabled: bool = True
     hair_removal_enabled: bool = True
 
     def __post_init__(self):
@@ -105,16 +104,12 @@ def _round_u8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
-def gaussian_blur(image: GrayImage, sigma: float) -> GrayImage:
-    """Gaussian blur with kernel half-width ceil(3*sigma), replicate borders."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    return GrayImage(_round_u8(_blur_float(image.values, sigma)))
-
-
 def unsharp_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) -> Image:
     """Sharpen: out = in + amount * (in - blur(in)), where the detail signal
-    exceeds the threshold; per channel, clamped to [0, 255]."""
+    exceeds the threshold; per channel, clamped to [0, 255]. An amount of 0
+    returns the image without blurring it."""
+    if config.sharpen_amount == 0:
+        return image
     src = image.pixels.astype(np.int32)
     blurred = _round_u8(_blur_float(src, config.sharpen_sigma)).astype(np.int32)
     detail = src - blurred
@@ -324,10 +319,11 @@ def preprocess_pipeline(
 ) -> tuple[Image, HairMask]:
     """Sharpen, detect and clean the hair mask, inpaint, smooth.
 
-    Returns the refined image and the cleaned mask. Either stage can be
-    disabled through the config for ablation runs.
+    Returns the refined image and the cleaned mask. For ablation runs,
+    sharpen_amount 0 skips sharpening and hair_removal_enabled False skips
+    hair removal.
     """
-    sharpened = unsharp_mask(image, config) if config.sharpen_enabled else image
+    sharpened = unsharp_mask(image, config)
     if not config.hair_removal_enabled:
         empty = HairMask(np.zeros((image.height, image.width), dtype=bool))
         return sharpened, empty

@@ -112,8 +112,8 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return -math.log(max(float(probabilities[true_label]), 1e-12))
 
 
-# The private helpers take the raw (weights, bias) arrays, so the training
-# loop does not build and validate a LinearProbeModel on every iteration.
+# These take the raw (weights, bias) arrays, so the training loop does not
+# build and validate a LinearProbeModel on every iteration.
 def _batch_probs(weights, bias, features: np.ndarray) -> np.ndarray:
     logits = features @ weights.T + bias
     logits -= logits.max(axis=1, keepdims=True)
@@ -121,13 +121,15 @@ def _batch_probs(weights, bias, features: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
+def batch_loss(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy over a batch."""
     probs = _batch_probs(weights, bias, features)
     p_true = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
     return float(np.mean(-np.log(p_true)))
 
 
-def _gradient(weights, bias, features: np.ndarray, labels: np.ndarray):
+def batch_gradient(weights, bias, features: np.ndarray, labels: np.ndarray):
+    """Analytic gradient of the mean cross-entropy wrt (weights, bias)."""
     delta = _batch_probs(weights, bias, features)
     delta[np.arange(len(labels)), labels] -= 1.0
     return delta.T @ features / len(labels), delta.mean(axis=0)
@@ -136,18 +138,6 @@ def _gradient(weights, bias, features: np.ndarray, labels: np.ndarray):
 def _accuracy(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
     preds = _batch_probs(weights, bias, features).argmax(axis=1)
     return float(np.mean(preds == labels))
-
-
-def batch_loss(model: LinearProbeModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over a batch."""
-    return _loss(model.weights, model.bias, features, labels)
-
-
-def batch_gradient(
-    model: LinearProbeModel, features: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the mean cross-entropy wrt (weights, bias)."""
-    return _gradient(model.weights, model.bias, features, labels)
 
 
 def train_probe(
@@ -181,12 +171,12 @@ def train_probe(
 
     def record(iteration: int):
         if len(Xv):
-            va, vx = _accuracy(weights, bias, Xv, yv), _loss(weights, bias, Xv, yv)
+            va, vx = _accuracy(weights, bias, Xv, yv), batch_loss(weights, bias, Xv, yv)
         else:
             va, vx = math.nan, math.nan
         curve.append(
             CurvePoint(iteration, _accuracy(weights, bias, X, y), va,
-                       _loss(weights, bias, X, y), vx)
+                       batch_loss(weights, bias, X, y), vx)
         )
 
     for it in range(1, config.iterations + 1):
@@ -195,7 +185,7 @@ def train_probe(
             cursor = 0
         idx = order[cursor : cursor + config.batch_size]
         cursor += config.batch_size
-        grad_w, grad_b = _gradient(weights, bias, X[idx], y[idx])
+        grad_w, grad_b = batch_gradient(weights, bias, X[idx], y[idx])
         weights -= config.learning_rate * grad_w
         bias -= config.learning_rate * grad_b
         if it % config.eval_interval == 0 or it == config.iterations:
@@ -217,14 +207,14 @@ def gradient_check(
     y = np.asarray(labels, dtype=np.int64)
     if len(X) == 0:
         raise ValueError("batch must be nonempty")
-    grad_w, grad_b = batch_gradient(model, X, y)
+    grad_w, grad_b = batch_gradient(model.weights, model.bias, X, y)
     analytic = np.concatenate([grad_w.ravel(), grad_b])
 
     theta = np.concatenate([model.weights.ravel(), model.bias])
     d = model.weights.shape[1]
 
     def loss_at(vec: np.ndarray) -> float:
-        return _loss(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)
+        return batch_loss(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)
 
     numeric = np.empty_like(theta)
     for i in range(len(theta)):

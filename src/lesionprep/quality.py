@@ -1,4 +1,6 @@
-"""Before/after image quality metrics: PSNR, MSE, MAXERR, L2RAT.
+"""Before/after image quality metrics, all four computed by `quality_row`:
+MSE, PSNR = 10*log10(255^2 / MSE) in dB, MAXERR (the largest absolute sample
+deviation) and L2RAT = sum(test^2) / sum(reference^2).
 
 All four pool the three color channels into one sample set and assume a peak
 value of 255. PSNR of identical images is the +inf sentinel, serialized as
@@ -34,67 +36,25 @@ def _samples(image: Image | GrayImage) -> np.ndarray:
     return arr.astype(np.float64).ravel()
 
 
-def _sample_pair(reference, test) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 samples of both images, which must have the same size."""
+def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayImage) -> QualityRow:
+    """The four metrics of a pair of images of the same size."""
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"dimension mismatch: {reference.width}x{reference.height} vs "
             f"{test.width}x{test.height}"
         )
-    return _samples(reference), _samples(test)
-
-
-# The private helpers take the samples or their difference, so `quality_row`
-# converts each image once and computes every metric from the same arrays.
-def _mse(d: np.ndarray) -> float:
-    return float(np.mean(d * d))
-
-
-def _psnr(m: float) -> float:
-    return math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m)
-
-
-def _maxerr(d: np.ndarray) -> int:
-    return int(np.max(np.abs(d)))
-
-
-def _l2rat(ref: np.ndarray, t: np.ndarray) -> float:
+    ref, t = _samples(reference), _samples(test)
+    d = ref - t
+    m = float(np.mean(d * d))
     denom = float(np.sum(ref * ref))
     if denom == 0:
         raise ValueError("l2rat undefined for an all-zero reference")
-    return float(np.sum(t * t)) / denom
-
-
-def mse(reference: Image | GrayImage, test: Image | GrayImage) -> float:
-    """Mean squared error over all channel samples."""
-    return _mse(np.subtract(*_sample_pair(reference, test)))
-
-
-def psnr(reference: Image | GrayImage, test: Image | GrayImage) -> float:
-    """10*log10(255^2 / MSE) in dB; +inf for identical images."""
-    return _psnr(mse(reference, test))
-
-
-def maxerr(reference: Image | GrayImage, test: Image | GrayImage) -> int:
-    """Maximum absolute per-sample deviation."""
-    return _maxerr(np.subtract(*_sample_pair(reference, test)))
-
-
-def l2rat(reference: Image | GrayImage, test: Image | GrayImage) -> float:
-    """Squared-energy ratio sum(test^2) / sum(reference^2)."""
-    return _l2rat(*_sample_pair(reference, test))
-
-
-def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayImage) -> QualityRow:
-    ref, t = _sample_pair(reference, test)
-    d = ref - t
-    m = _mse(d)
     return QualityRow(
         image_id=image_id,
-        psnr=_psnr(m),
+        psnr=math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m),
         mse=m,
-        maxerr=_maxerr(d),
-        l2rat=_l2rat(ref, t),
+        maxerr=int(np.max(np.abs(d))),
+        l2rat=float(np.sum(t * t)) / denom,
         width=reference.width,
         height=reference.height,
     )

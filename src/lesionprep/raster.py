@@ -101,7 +101,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, end = _read_token(data, pos)
     if not token.isdigit():
         raise NetpbmError(f"invalid {what} token {token!r}", end - len(token))
-    return int(token), end
+    try:
+        return int(token), end
+    except ValueError:  # more digits than int() converts
+        raise NetpbmError(f"{what} token of {len(token)} digits", end - len(token)) from None
 
 
 def decode_netpbm(data: bytes) -> Image | GrayImage:

@@ -23,7 +23,7 @@ from lesionprep.preprocess import (
     unsharp_mask,
 )
 from lesionprep.probe import LinearProbeModel, TrainConfig, format_curve, gradient_check, train_probe
-from lesionprep.quality import psnr
+from lesionprep.quality import quality_row
 from lesionprep.raster import GrayImage
 
 from synthetic import generate_sample
@@ -126,7 +126,8 @@ def test_criterion_5_hair_removal_efficacy(corpus_results):
     for sample, _, mask, _, smoothed in corpus_results:
         tp += (mask.bits & sample.hair_mask).sum()
         fn += (~mask.bits & sample.hair_mask).sum()
-        gains.append(psnr(sample.clean, smoothed) - psnr(sample.clean, sample.hairy))
+        before = quality_row("before", sample.clean, sample.hairy).psnr
+        gains.append(quality_row("after", sample.clean, smoothed).psnr - before)
     recall = tp / (tp + fn)
     mean_gain = float(np.mean(gains))
     assert recall >= 0.90

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import tempfile
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +51,19 @@ def run(*argv):
 
 # metrics a hand-edited report.json might carry; `report` must not print them
 STALE_METRICS = dict.fromkeys(["accuracy", "sensitivity", "specificity", "precision", "f1"], 1.0)
+
+
+def svg_polylines(path):
+    """The point lists of the curve SVG's polylines, each point checked to lie
+    inside the 640x400 frame."""
+    root = ET.parse(path).getroot()
+    assert (root.get("width"), root.get("height")) == ("640", "400")
+    lines = []
+    for poly in root.iter("{http://www.w3.org/2000/svg}polyline"):
+        pts = [tuple(map(float, p.split(","))) for p in poly.get("points").split()]
+        assert all(0 <= x <= 640 and 0 <= y <= 400 for x, y in pts)
+        lines.append(pts)
+    return lines
 
 
 def write_log(path, tp, fp, fn, tn):
@@ -191,6 +205,13 @@ class TestPreprocess:
         monkeypatch.undo()
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    def test_no_sharpen_flag_is_gone(self, tmp_path):
+        # --sharpen-amount 0 is the one way to switch sharpening off
+        with pytest.raises(SystemExit) as exc:
+            run("preprocess", "--manifest", tmp_path / "m.csv", "--images-root", tmp_path,
+                "--out-root", tmp_path / "out", "--no-sharpen")
+        assert exc.value.code == 1
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         manifest = tmp_path / "m.csv"
@@ -248,12 +269,30 @@ class TestTrainProbe:
                    "--iterations", 300, "--eval-interval", 100, "--seed", 9,
                    "--model-out", model_out, "--curve-out", curve_out,
                    "--render-svg", svg_out) == 0
-        assert model_out.exists() and svg_out.exists()
+        assert model_out.exists()
         lines = curve_out.read_text().splitlines()
         assert lines[0] == "iter,train_acc,val_acc,train_xent,val_xent"
         assert lines[-1].startswith("300,")
         # bright-vs-dark classes are trivially separable
         assert float(lines[-1].split(",")[1]) == 1.0
+        # accuracy and loss, train and val, each sampled at iterations 100, 200 and 300
+        assert [len(pts) for pts in svg_polylines(svg_out)] == [3] * 4
+
+    def test_svg_without_val_entries(self, dataset_root, tmp_path):
+        manifest = tmp_path / "m.csv"
+        paths = sorted(p.relative_to(dataset_root).as_posix()
+                       for p in (dataset_root / "train").rglob("*.ppm"))
+        manifest.write_text("path,label,split\n" + "".join(
+            f"{p},{p.split('/')[1]},train\n" for p in paths))
+        svg_out = tmp_path / "curve.svg"
+        assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
+                   "--iterations", 200, "--eval-interval", 100, "--seed", 9,
+                   "--model-out", tmp_path / "model.txt", "--curve-out", tmp_path / "curve.csv",
+                   "--render-svg", svg_out) == 0
+        assert "nan" not in svg_out.read_text()
+        train_acc, val_acc, train_xent, val_xent = svg_polylines(svg_out)
+        assert val_acc == [] and val_xent == []
+        assert len(train_acc) == len(train_xent) == 2
 
     def test_rerun_byte_identical(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -275,11 +314,14 @@ class TestConfigFlags:
 
     @pytest.mark.parametrize("flags,expected", [
         ([], PreprocessConfig()),
-        (["--sharpen-sigma", 1.5, "--sharpen-amount", 0.5, "--sharpen-threshold", 3,
+        (["--sharpen-sigma", 1.5, "--sharpen-amount", 0, "--sharpen-threshold", 3,
           "--se-length", 9, "--hair-threshold", 12, "--min-component-span", 7,
           "--max-thinness", 0.25, "--interp-margin", 1, "--median-window", 3,
-          "--no-sharpen", "--no-hair-removal"],
-         PreprocessConfig(1.5, 0.5, 3, 9, 12, 7, 0.25, 1, 3, False, False)),
+          "--no-hair-removal"],
+         PreprocessConfig(sharpen_sigma=1.5, sharpen_amount=0.0, sharpen_threshold=3,
+                          se_length=9, hair_threshold=12, min_component_span=7,
+                          max_thinness=0.25, interp_margin=1, median_window=3,
+                          hair_removal_enabled=False)),
     ])
     def test_preprocess(self, tmp_path, flags, expected):
         write_image(tmp_path / "a.ppm", seed=1, bright=True)
@@ -383,6 +425,18 @@ class TestEvalAndReport:
         bad.write_text("case_id,predicted,confidence,truth\n1,what,0.5,benign\n")
         assert run("eval", "--log", bad) == 2
 
+    @pytest.mark.parametrize("data, problem", [
+        (b"case_id,predicted,confidence,truth\n1,benign,0.9,ben\rign\n", "line 2: new-line"),
+        (b"case_id,predicted,confidence,truth\n1,benign,0.9,\xffbenign\n", "not UTF-8"),
+    ], ids=["bare-cr", "not-utf8"])
+    def test_eval_malformed_log_names_the_path(self, tmp_path, capsys, caplog, data, problem):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run("eval", "--log", bad) == 2
+        assert caplog.records[-1].getMessage().startswith(f"{bad}: {problem}")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
@@ -400,10 +454,11 @@ def test_pipeline_end_to_end_on_synthetic(tmp_path):
     out_root = tmp_path / "pre"
     assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path / "data",
                "--out-root", out_root) == 0
-    from lesionprep.quality import psnr
+    from lesionprep.quality import quality_row
     from lesionprep.raster import decode_netpbm
 
     refined = decode_netpbm(
         (out_root / "train" / "malignant" / "hairy.pre.ppm").read_bytes()
     )
-    assert psnr(sample.clean, refined) > psnr(sample.clean, sample.hairy)
+    before = quality_row("before", sample.clean, sample.hairy).psnr
+    assert quality_row("after", sample.clean, refined).psnr > before

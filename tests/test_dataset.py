@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lesionprep.dataset import (
     ManifestEntry,
@@ -9,6 +11,13 @@ from lesionprep.dataset import (
     scan_dataset,
     split_train_val,
 )
+
+# a carriage return inside an unquoted field, which the csv module rejects
+BARE_CR_MANIFEST = "path,label,split\na.ppm,benign,tr\rain\n"
+MANIFEST_TOKENS = st.sampled_from([
+    "a.ppm", "benign", "malignant", "train", "val", "test", "x",
+    ",", " ", "\n", "\r", "\r\n", '"', "\x00",
+])
 
 
 def make_tree(root, layout):
@@ -124,6 +133,21 @@ class TestManifestIO:
         text = "path,label,split\nx.ppm,benign,train\nx.ppm,benign,val\n"
         with pytest.raises(ValueError, match="duplicate"):
             parse_manifest(text)
+
+    def test_bare_cr_in_a_field_names_the_line(self):
+        with pytest.raises(ValueError, match="line 2: new-line character"):
+            parse_manifest(BARE_CR_MANIFEST)
+
+    @given(st.one_of(
+        st.text(), st.lists(MANIFEST_TOKENS).map("".join),
+        st.lists(MANIFEST_TOKENS).map(lambda t: "path,label,split\n" + "".join(t)),
+    ))
+    @example(BARE_CR_MANIFEST)
+    def test_arbitrary_text_raises_only_value_error(self, text):
+        try:
+            parse_manifest(text)
+        except ValueError:
+            pass
 
 
 class TestRng:

@@ -3,23 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lesionprep.evaluation import (
+    LOG_HEADER,
     ConfusionMatrix,
     MetricsReport,
     PredictionLogError,
     PredictionRecord,
-    accuracy,
     confusion,
     f1,
     metrics_report,
     paper_rounding,
     parse_prediction_log,
-    precision,
     render_report_text,
     report_to_dict,
-    sensitivity,
-    specificity,
 )
 
 
@@ -29,6 +28,14 @@ def load_log(data_dir, name):
 
 def record(case_id, predicted, truth, confidence=0.9):
     return PredictionRecord(str(case_id), predicted, confidence, truth)
+
+
+# a carriage return inside an unquoted field, which the csv module rejects
+BARE_CR_LOG = "case_id,predicted,confidence,truth\n1,benign,0.9,ben\rign\n"
+LOG_TOKENS = st.sampled_from([
+    "benign", "malignant", "0.9", "97.8%", "nan", "1e999", "-1", "x",
+    ",", " ", "\n", "\r", "\r\n", '"', "\x00",
+])
 
 
 class TestParse:
@@ -64,6 +71,25 @@ class TestParse:
         with pytest.raises(PredictionLogError, match="header"):
             parse_prediction_log("id,pred,conf,gt\n")
 
+    def test_bare_cr_in_a_field_names_the_line(self):
+        with pytest.raises(PredictionLogError, match="line 2: new-line character"):
+            parse_prediction_log(BARE_CR_LOG)
+
+    def test_non_utf8_bytes(self):
+        with pytest.raises(PredictionLogError, match="not UTF-8"):
+            parse_prediction_log(b"case_id,predicted,confidence,truth\n1,benign,0.9,\xffbenign\n")
+
+    @given(st.one_of(
+        st.binary(), st.text(), st.lists(LOG_TOKENS).map("".join),
+        st.lists(LOG_TOKENS).map(lambda t: ",".join(LOG_HEADER) + "\n" + "".join(t)),
+    ))
+    @example(BARE_CR_LOG)
+    def test_arbitrary_input_raises_only_log_error(self, data):
+        try:
+            parse_prediction_log(data)
+        except PredictionLogError:
+            pass
+
 
 class TestConfusion:
     def test_processed_column_counts(self, data_dir):
@@ -97,35 +123,45 @@ class TestConfusion:
             assert confusion(list(perm)) == confusion(recs)
 
 
+def report(tp, fp, fn, tn):
+    return MetricsReport(ConfusionMatrix(tp, fp, fn, tn))
+
+
 class TestScalarMetrics:
+    """The MetricsReport properties, the one implementation of each metric."""
+
     def test_accuracy_processed(self):
-        assert accuracy(ConfusionMatrix(10, 2, 1, 8)) == pytest.approx(100 * 18 / 21)
+        assert report(10, 2, 1, 8).accuracy == pytest.approx(100 * 18 / 21)
 
     def test_accuracy_original(self):
-        assert accuracy(ConfusionMatrix(10, 3, 1, 7)) == pytest.approx(100 * 17 / 21)
+        assert report(10, 3, 1, 7).accuracy == pytest.approx(100 * 17 / 21)
+
+    def test_accuracy_of_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            report(0, 0, 0, 0).accuracy
 
     def test_sensitivity(self):
-        assert sensitivity(ConfusionMatrix(10, 2, 1, 8)) == pytest.approx(100 * 10 / 11)
-        assert sensitivity(ConfusionMatrix(5, 1, 0, 3)) == 100.0
-        assert sensitivity(ConfusionMatrix(0, 2, 0, 8)) is None
+        assert report(10, 2, 1, 8).sensitivity == pytest.approx(100 * 10 / 11)
+        assert report(5, 1, 0, 3).sensitivity == 100.0
+        assert report(0, 2, 0, 8).sensitivity is None
 
     def test_specificity(self):
-        assert specificity(ConfusionMatrix(10, 2, 1, 8)) == pytest.approx(80.0)
-        assert specificity(ConfusionMatrix(4, 0, 1, 5)) == 100.0
-        assert specificity(ConfusionMatrix(4, 0, 1, 0)) is None
+        assert report(10, 2, 1, 8).specificity == pytest.approx(80.0)
+        assert report(4, 0, 1, 5).specificity == 100.0
+        assert report(4, 0, 1, 0).specificity is None
 
     def test_precision(self):
-        assert precision(ConfusionMatrix(10, 2, 1, 8)) == pytest.approx(100 * 10 / 12)
-        assert precision(ConfusionMatrix(4, 0, 1, 5)) == 100.0
-        assert precision(ConfusionMatrix(0, 0, 1, 5)) is None
+        assert report(10, 2, 1, 8).precision == pytest.approx(100 * 10 / 12)
+        assert report(4, 0, 1, 5).precision == 100.0
+        assert report(0, 0, 1, 5).precision is None
 
     def test_metrics_are_exact_fractions(self):
-        cm = ConfusionMatrix(10, 2, 1, 8)
-        assert accuracy(cm) == Fraction(1800, 21)
-        assert sensitivity(cm) == Fraction(1000, 11)
-        assert specificity(cm) == 80
-        assert precision(cm) == Fraction(1000, 12)
-        assert f1(precision(cm), sensitivity(cm)) == Fraction(2000, 23)
+        rep = report(10, 2, 1, 8)
+        assert rep.accuracy == Fraction(1800, 21)
+        assert rep.sensitivity == Fraction(1000, 11)
+        assert rep.specificity == 80
+        assert rep.precision == Fraction(1000, 12)
+        assert f1(rep.precision, rep.sensitivity) == Fraction(2000, 23)
 
     def test_f1_published_values(self):
         assert int(f1(70.0, 87.5)) == 77
@@ -217,14 +253,16 @@ class TestAlgebraicProperties:
                 PredictionRecord(r.case_id, swap[r.predicted], r.confidence, swap[r.truth])
                 for r in recs
             ]
-            assert sensitivity(confusion(recs)) == specificity(confusion(flipped))
-            assert specificity(confusion(recs)) == sensitivity(confusion(flipped))
+            rep, rep_flipped = metrics_report(recs), metrics_report(flipped)
+            assert rep.sensitivity == rep_flipped.specificity
+            assert rep.specificity == rep_flipped.sensitivity
 
     def test_accuracy_decomposition(self, rng):
         for _ in range(50):
             tp, fp, fn, tn = rng.integers(1, 20, size=4)
-            cm = ConfusionMatrix(int(tp), int(fp), int(fn), int(tn))
+            rep = report(int(tp), int(fp), int(fn), int(tn))
+            cm = rep.confusion
             expected = (
-                sensitivity(cm) * (cm.tp + cm.fn) + specificity(cm) * (cm.tn + cm.fp)
+                rep.sensitivity * (cm.tp + cm.fn) + rep.specificity * (cm.tn + cm.fp)
             ) / cm.total
-            assert accuracy(cm) == pytest.approx(expected)
+            assert rep.accuracy == pytest.approx(expected)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lesionprep import preprocess
 from lesionprep.preprocess import (
     ORIENTATIONS,
     HairMask,
@@ -15,7 +16,6 @@ from lesionprep.preprocess import (
     _round_u8,
     clean_mask,
     detect_hair_mask,
-    gaussian_blur,
     inpaint_hair,
     morph_close_line,
     preprocess_pipeline,
@@ -214,11 +214,16 @@ def label_components_oracle(bits: np.ndarray):
 
 # ---------------------------------------------------------------- gaussian
 
+def blur_u8(values: np.ndarray, sigma: float) -> np.ndarray:
+    """The blur that unsharp_mask runs, rounded to 8 bits."""
+    return _round_u8(_blur_float(values, sigma))
+
+
 class TestGaussianBlur:
     def test_uniform_is_fixed_point(self):
-        img = GrayImage(np.full((16, 16), 100, np.uint8))
+        arr = np.full((16, 16), 100, np.uint8)
         for sigma in (0.5, 1.0, 2.5):
-            assert gaussian_blur(img, sigma) == img
+            assert np.array_equal(blur_u8(arr, sigma), arr)
 
     def test_impulse_center_weight(self):
         # hand-computed truncated normalized kernel, sigma 1 -> half-width 3
@@ -226,29 +231,28 @@ class TestGaussianBlur:
         k /= k.sum()
         arr = np.zeros((15, 15), np.uint8)
         arr[7, 7] = 255
-        blurred = gaussian_blur(GrayImage(arr), 1.0)
-        assert blurred.values[7, 7] == int(math.floor(255 * k[3] * k[3] + 0.5))
+        assert blur_u8(arr, 1.0)[7, 7] == int(math.floor(255 * k[3] * k[3] + 0.5))
 
     def test_semigroup_approximation(self, rng):
         # replicate borders break the semigroup identity near the edge, so the
         # comparison excludes a margin of the larger kernel's radius
         margin = math.ceil(3 * 1.2 * math.sqrt(2))
         for _ in range(5):
-            img = GrayImage(rng.integers(0, 256, size=(24, 24), dtype=np.uint8))
-            twice = gaussian_blur(gaussian_blur(img, 1.2), 1.2).values.astype(int)
-            once = gaussian_blur(img, 1.2 * math.sqrt(2)).values.astype(int)
+            arr = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
+            twice = blur_u8(blur_u8(arr, 1.2), 1.2).astype(int)
+            once = blur_u8(arr, 1.2 * math.sqrt(2)).astype(int)
             dev = np.abs(twice - once)[margin:-margin, margin:-margin].max()
             assert dev <= 2
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_blur(GrayImage(np.zeros((4, 4), np.uint8)), 0.0)
+        # the config is where the blur's sigma is checked
+        with pytest.raises(ValueError, match="sharpen_sigma"):
+            PreprocessConfig(sharpen_sigma=0.0)
 
     @settings(deadline=None)
     @given(u8_arrays(), sigmas)
     def test_matches_padded_convolution_oracle(self, values, sigma):
-        got = _round_u8(_blur_float(values, sigma))
-        assert np.array_equal(got, _round_u8(blur_oracle(values, sigma)))
+        assert np.array_equal(blur_u8(values, sigma), _round_u8(blur_oracle(values, sigma)))
 
 
 # ---------------------------------------------------------------- unsharp
@@ -258,6 +262,14 @@ class TestUnsharpMask:
         img = Image(rng.integers(0, 256, size=(12, 12, 3), dtype=np.uint8))
         cfg = PreprocessConfig(sharpen_amount=0.0)
         assert unsharp_mask(img, cfg) == img
+
+    def test_zero_amount_skips_the_blur(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("blurred with sharpen_amount 0")
+
+        monkeypatch.setattr(preprocess, "_blur_float", fail)
+        img = Image(np.full((4, 4, 3), 9, np.uint8))
+        assert unsharp_mask(img, PreprocessConfig(sharpen_amount=0)) is img
 
     def test_uniform_unchanged(self):
         img = Image(np.full((10, 10, 3), 90, np.uint8))
@@ -545,11 +557,12 @@ class TestPipeline:
         assert mask.count() == 0
 
     def test_improves_psnr_on_synthetic_hair(self):
-        from lesionprep.quality import psnr
+        from lesionprep.quality import quality_row
 
         sample = generate_sample(seed=42)
         out, _ = preprocess_pipeline(sample.hairy)
-        assert psnr(sample.clean, out) > psnr(sample.clean, sample.hairy)
+        before = quality_row("before", sample.clean, sample.hairy).psnr
+        assert quality_row("after", sample.clean, out).psnr > before
 
     def test_near_idempotent_on_synthetic(self):
         changed = total = 0
@@ -576,7 +589,7 @@ class TestPipeline:
 
     def test_disabling_stages(self):
         sample = generate_sample(seed=3)
-        cfg = PreprocessConfig(sharpen_enabled=False, hair_removal_enabled=False)
+        cfg = PreprocessConfig(sharpen_amount=0, hair_removal_enabled=False)
         out, mask = preprocess_pipeline(sample.hairy, cfg)
         assert out == sample.hairy
         assert mask.count() == 0

@@ -13,6 +13,7 @@ from lesionprep.probe import (
     CurvePoint,
     LinearProbeModel,
     TrainConfig,
+    batch_gradient,
     batch_loss,
     cross_entropy,
     extract_features,
@@ -180,20 +181,16 @@ class TestGradientCheck:
         X = np.tile(np.array([[0.3, 0.7]]), (2, 1))
         y = np.array([0, 1])
         model = LinearProbeModel.zeros(2)
-        from lesionprep.probe import batch_gradient
-
-        gw, gb = batch_gradient(model, X, y)
+        gw, gb = batch_gradient(model.weights, model.bias, X, y)
         assert np.abs(gw).max() < 1e-8 and np.abs(gb).max() < 1e-8
         assert gradient_check(model, X, y) < 1e-5
 
     def test_duplicating_batch_keeps_mean_gradient(self, rng):
-        from lesionprep.probe import batch_gradient
-
-        model = LinearProbeModel(rng.normal(size=(2, 3)), rng.normal(size=2))
+        w, b = rng.normal(size=(2, 3)), rng.normal(size=2)
         X = rng.normal(size=(5, 3))
         y = rng.integers(0, 2, size=5)
-        gw1, gb1 = batch_gradient(model, X, y)
-        gw2, gb2 = batch_gradient(model, np.vstack([X, X]), np.concatenate([y, y]))
+        gw1, gb1 = batch_gradient(w, b, X, y)
+        gw2, gb2 = batch_gradient(w, b, np.vstack([X, X]), np.concatenate([y, y]))
         assert gw1 == pytest.approx(gw2)
         assert gb1 == pytest.approx(gb2)
 
@@ -264,4 +261,4 @@ class TestPersistence:
         expected = np.mean(
             [cross_entropy(softmax_predict(model, x), label) for x, label in zip(X, y)]
         )
-        assert batch_loss(model, X, y) == pytest.approx(expected, rel=1e-12)
+        assert batch_loss(model.weights, model.bias, X, y) == pytest.approx(expected, rel=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lesionprep.raster import (
     GrayImage,
@@ -63,6 +65,21 @@ class TestDecode:
     def test_non_numeric_dimension(self):
         with pytest.raises(NetpbmError, match="width"):
             decode_netpbm(b"P6 x 1 255\n\x00\x00\x00")
+
+    def test_overlong_dimension(self):
+        with pytest.raises(NetpbmError, match="width token of 5000 digits"):
+            decode_netpbm(b"P6 " + b"9" * 5000 + b" 1 255\n")
+
+    @given(st.one_of(
+        st.binary(),
+        st.lists(st.sampled_from([b"P5", b"P6", b" ", b"\n", b"\r", b"#", b"0", b"1", b"2",
+                                  b"255", b"65535", b"x", b"\x00", b"\xff"])).map(b"".join),
+    ))
+    def test_arbitrary_bytes_raise_only_netpbm_error(self, data):
+        try:
+            decode_netpbm(data)
+        except NetpbmError:
+            pass
 
 
 class TestEncode:

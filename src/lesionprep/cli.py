@@ -6,8 +6,7 @@ through explicit --seed flags; reruns with the same inputs and flags produce
 byte-identical outputs regardless of --jobs.
 
 Each subcommand imports only the modules it runs: split, eval and report use
-the standard library alone, quality and train-probe add numpy, and only
-preprocess loads scipy.
+the standard library alone, and preprocess, quality and train-probe add numpy.
 """
 
 from __future__ import annotations
@@ -105,7 +104,8 @@ def _preprocess_one(task):
 
 
 def cmd_preprocess(args) -> int:
-    # loads scipy here, in the parent, so that forked pool workers inherit it
+    # loads numpy and the pipeline here, in the parent, so that forked pool
+    # workers inherit them
     from .preprocess import PreprocessConfig
 
     config = _config(PreprocessConfig, args)

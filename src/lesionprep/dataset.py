@@ -166,15 +166,16 @@ def format_manifest(entries: Iterable[ManifestEntry]) -> str:
 def parse_manifest(text: str) -> list[ManifestEntry]:
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        # a quoted field may hold newlines, so a record ends on line_num
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    header = rows[0] if rows else None
+    header = rows[0][1] if rows else None
     if header != MANIFEST_HEADER:
         raise ValueError(f"bad manifest header {header!r}")
     entries = []
     seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 3:
@@ -183,7 +184,10 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
         if path in seen:
             raise ValueError(f"line {lineno}: duplicate path {path!r}")
         seen.add(path)
-        entries.append(ManifestEntry(path, label, split))
+        try:
+            entries.append(ManifestEntry(path, label, split))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return entries
 
 

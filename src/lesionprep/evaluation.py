@@ -122,15 +122,16 @@ def parse_prediction_log(data: bytes | str) -> list[PredictionRecord]:
         raise PredictionLogError(f"not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        # a quoted field may hold newlines, so a record ends on line_num
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise PredictionLogError(f"line {reader.line_num}: {exc}") from None
-    header = rows[0] if rows else None
+    header = rows[0][1] if rows else None
     if header is None or [h.strip() for h in header] != LOG_HEADER:
         raise PredictionLogError(f"bad header {header!r}, expected {LOG_HEADER}")
     records = []
     seen: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 4:

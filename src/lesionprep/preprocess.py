@@ -4,11 +4,12 @@ axis of each hair, median-smooth the replaced region).
 
 All stages are pure functions on immutable rasters; every parameter lives in
 PreprocessConfig so stages can be re-run or ablated deterministically. Every
-stage works on whole arrays: the blur and the sharpen treat all three
-channels in one pass, detection closes the three channel planes at once,
-inpainting walks all masked pixels along each orientation with running
-min/max scans over the image laid out as lines, and smoothing sorts the
-windows of all masked pixels in one call.
+stage works on whole arrays of numpy alone: the blur and the sharpen treat
+all three channels in one pass, detection closes the three channel planes at
+once, cleaning labels 8-connected components with a union-find over all mask
+edges at once, inpainting walks all masked pixels along each orientation with
+running min/max scans over the image laid out as lines, and smoothing sorts
+the windows of all masked pixels in one call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .raster import GrayImage, Image
 
@@ -92,12 +92,60 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+_CHUNK = 1 << 15  # float64 elements per block of the blur's sums; a few fit in L2
+
+
+def _correlate_flat(x: np.ndarray, k: np.ndarray, step: int, out: np.ndarray) -> None:
+    """Set ``out[p]`` to the correlation of the symmetric kernel ``k`` with
+    the flat array ``x`` around ``x[p + r * step]``, taking taps ``step``
+    elements apart, where r = len(k) // 2.
+
+    The taps are summed as scipy.ndimage.correlate1d sums a symmetric kernel,
+    centre first, then each mirrored pair from the outermost in, so the
+    result equals it bit for bit. The sums run block by block, so that their
+    operands stay in cache.
+    """
+    r = len(k) // 2
+    pair = np.empty(min(_CHUNK, len(out)))
+    for start in range(0, len(out), _CHUNK):
+        acc = out[start:start + _CHUNK]
+        tmp = pair[:len(acc)]
+
+        def tap(i: int) -> np.ndarray:
+            return x[start + i * step:start + i * step + len(acc)]
+
+        np.multiply(tap(r), k[r], out=acc)
+        for j in range(r, 0, -1):
+            np.add(tap(r - j), tap(r + j), out=tmp)
+            tmp *= k[r - j]
+            acc += tmp
+
+
 def _blur_float(values: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian over the first two axes (rows, then columns),
-    replicate borders; any trailing axes are filtered independently."""
+    replicate borders; any trailing axes are filtered independently.
+
+    Both passes run over the edge-padded image as one flat array, in which a
+    step along a row is ``col`` elements and a step down a column ``row``
+    elements. Sums that wrap past a row end land in padding columns, which
+    the result leaves out.
+    """
     k = _gaussian_kernel(sigma)
-    rows = ndimage.correlate1d(values.astype(np.float64), k, axis=1, mode="nearest")
-    return ndimage.correlate1d(rows, k, axis=0, mode="nearest")
+    r = len(k) // 2
+    h, w = values.shape[:2]
+    edge = ((r, r), (r, r)) + ((0, 0),) * (values.ndim - 2)
+    padded = np.pad(values.astype(np.float64), edge, mode="edge").ravel()
+    col = math.prod(values.shape[2:])
+    row = (w + 2 * r) * col
+    rows = np.empty_like(padded)
+    # the row pass covers all but the last 2r pixels, which only padding
+    # columns of the column pass read
+    covered = len(rows) - 2 * r * col
+    rows[covered:] = 0
+    _correlate_flat(padded, k, col, rows[:covered])
+    out = np.empty((h, w + 2 * r) + values.shape[2:])
+    _correlate_flat(rows, k, row, out.reshape(-1))
+    return out[:, :w]
 
 
 def _round_u8(values: np.ndarray) -> np.ndarray:
@@ -170,24 +218,67 @@ def detect_hair_mask(image: Image, config: PreprocessConfig = PreprocessConfig()
     return HairMask(mask)
 
 
+# the half of the 8-neighbourhood that comes later in raster order
+_FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _component_roots(bits: np.ndarray) -> np.ndarray:
+    """For the set pixels of ``bits`` in raster order, the raster-order index
+    of the first pixel of each one's 8-connected component.
+
+    A union-find over all edges at once: each round hooks, across every edge
+    whose ends have different roots, the larger root onto the smaller one,
+    then follows pointers until every pixel points at a root. Each round
+    removes at least one root, so the rounds end; pointers only ever go to
+    smaller indices, so each component's root is its first pixel.
+    """
+    # a one-pixel clear border, so that no step off the image wraps onto
+    # the next row
+    padded = np.pad(bits, 1).ravel()
+    pixels = np.flatnonzero(padded)
+    ids = np.full(len(padded), -1, dtype=np.intp)
+    ids[pixels] = np.arange(len(pixels))
+    ends = []
+    for dy, dx in _FORWARD:
+        nb = ids[pixels + dy * (bits.shape[1] + 2) + dx]
+        both = nb >= 0
+        ends.append((np.flatnonzero(both), nb[both]))
+    a, b = (np.concatenate(e) for e in zip(*ends))
+    root = np.arange(len(pixels))
+    while len(a):
+        # an edge joins the same components as the edge between their roots
+        a, b = root[a], root[b]
+        differ = a != b
+        a, b = a[differ], b[differ]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return root
+
+
 def clean_mask(mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> HairMask:
     """Keep only long, thin 8-connected components (hair candidates), then
     dilate the survivors by one pixel so inpainting covers hair fringes."""
-    labels, n = ndimage.label(mask.bits, structure=np.ones((3, 3), dtype=int))
-    if n == 0:
-        return HairMask(np.zeros_like(mask.bits))
-    keep = np.zeros(n + 1, dtype=bool)
-    slices = ndimage.find_objects(labels)
-    areas = np.bincount(labels.ravel(), minlength=n + 1)
-    for i, sl in enumerate(slices, start=1):
-        bh = sl[0].stop - sl[0].start
-        bw = sl[1].stop - sl[1].start
-        span = max(bh, bw)
-        thinness = areas[i] / (bh * bw)
-        keep[i] = span >= config.min_component_span and thinness <= config.max_thinness
-    kept = keep[labels]
-    dilated = ndimage.binary_dilation(kept, structure=np.ones((3, 3), dtype=bool))
-    return HairMask(dilated)
+    bits = mask.bits
+    if not bits.any():
+        return HairMask(np.zeros_like(bits))
+    ys, xs = np.nonzero(bits)
+    root = _component_roots(bits)
+    # per-component figures, valid at the roots: a root is its component's
+    # first pixel in raster order, so its own row is the top of the bbox
+    area = np.bincount(root, minlength=len(root))
+    bottom, left, right = ys.copy(), xs.copy(), xs.copy()
+    np.maximum.at(bottom, root, ys)
+    np.minimum.at(left, root, xs)
+    np.maximum.at(right, root, xs)
+    bh = bottom - ys + 1
+    bw = right - left + 1
+    keep = (np.maximum(bh, bw) >= config.min_component_span) & (area / (bh * bw) <= config.max_thinness)
+    kept = np.zeros_like(bits)
+    kept[bits] = keep[root]
+    padded = np.pad(kept, 1)
+    rows = padded[:, :-2] | padded[:, 1:-1] | padded[:, 2:]
+    return HairMask(rows[:-2] | rows[1:-1] | rows[2:])
 
 
 def _check_shape(image: Image, mask: HairMask) -> None:

@@ -138,6 +138,12 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="line 2: new-line character"):
             parse_manifest(BARE_CR_MANIFEST)
 
+    def test_error_after_a_multiline_record_names_its_physical_line(self):
+        # the quoted path of the first record spans lines 2 and 3
+        text = 'path,label,split\n"a\nb.ppm",benign,train\nc.ppm,what,train\n'
+        with pytest.raises(ValueError, match="line 4: unknown label 'what'"):
+            parse_manifest(text)
+
     @given(st.one_of(
         st.text(), st.lists(MANIFEST_TOKENS).map("".join),
         st.lists(MANIFEST_TOKENS).map(lambda t: "path,label,split\n" + "".join(t)),

@@ -75,6 +75,12 @@ class TestParse:
         with pytest.raises(PredictionLogError, match="line 2: new-line character"):
             parse_prediction_log(BARE_CR_LOG)
 
+    def test_error_after_a_multiline_record_names_its_physical_line(self):
+        # the quoted case_id of the first record spans lines 2 and 3
+        text = 'case_id,predicted,confidence,truth\n"a\nb",benign,0.9,benign\nc,what,0.9,benign\n'
+        with pytest.raises(PredictionLogError, match="line 4: unknown label 'what'"):
+            parse_prediction_log(text)
+
     def test_non_utf8_bytes(self):
         with pytest.raises(PredictionLogError, match="not UTF-8"):
             parse_prediction_log(b"case_id,predicted,confidence,truth\n1,benign,0.9,\xffbenign\n")

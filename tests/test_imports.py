@@ -1,5 +1,6 @@
 """Each subcommand imports only what it runs: split, eval and report run on the
-standard library alone, and quality and train-probe need numpy but not scipy.
+standard library alone, and preprocess, quality and train-probe need numpy but
+not scipy, which no module of the package imports.
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early.
@@ -71,6 +72,8 @@ def commands(d, tmp_path):
         "report": ["report", d / "report.json"],
         "quality": ["quality", "--manifest", d / "manifest.csv", "--images-root", d / "data",
                     "--pre-root", d / "pre", "--out", tmp_path / "q.csv"],
+        "preprocess": ["preprocess", "--manifest", d / "manifest.csv", "--images-root", d / "data",
+                       "--out-root", tmp_path / "pre"],
         "train-probe": ["train-probe", "--manifest", d / "manifest.csv", "--images-root", d / "data",
                         "--seed", 1, "--iterations", 20, "--model-out", tmp_path / "model.txt",
                         "--curve-out", tmp_path / "curve.csv"],
@@ -85,3 +88,9 @@ def test_stdlib_only_subcommands_import_no_numpy(inputs, tmp_path, command):
 @pytest.mark.parametrize("command", ["quality", "train-probe"])
 def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
     assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, ["numpy"])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_preprocess_imports_no_scipy(inputs, tmp_path, jobs):
+    argv = commands(inputs, tmp_path)["preprocess"] + ["--jobs", jobs]
+    assert run_fresh(tmp_path, *argv) == (0, ["numpy"])

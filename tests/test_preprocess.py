@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from lesionprep import preprocess
 from lesionprep.preprocess import (
@@ -39,6 +40,14 @@ def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
     padded = np.pad(values.astype(np.float64), r, mode="edge")
     rows = np.apply_along_axis(np.convolve, 1, padded, k, mode="valid")
     return np.apply_along_axis(np.convolve, 0, rows, k, mode="valid")
+
+
+def blur_ndimage_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
+    """The blur as scipy.ndimage computes it: correlate1d along the rows,
+    then along the columns, replicate borders, in float64."""
+    k = _gaussian_kernel(sigma)
+    rows = ndimage.correlate1d(values.astype(np.float64), k, axis=1, mode="nearest")
+    return ndimage.correlate1d(rows, k, axis=0, mode="nearest")
 
 
 def unsharp_oracle(pixels: np.ndarray, config: PreprocessConfig) -> np.ndarray:
@@ -212,6 +221,24 @@ def label_components_oracle(bits: np.ndarray):
     return comps
 
 
+def clean_mask_ndimage_oracle(bits: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """clean_mask as scipy.ndimage computes it: label the 8-connected
+    components, test each one's bounding box, dilate the kept ones by 3x3."""
+    labels, n = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
+    if n == 0:
+        return np.zeros_like(bits)
+    keep = np.zeros(n + 1, dtype=bool)
+    slices = ndimage.find_objects(labels)
+    areas = np.bincount(labels.ravel(), minlength=n + 1)
+    for i, sl in enumerate(slices, start=1):
+        bh = sl[0].stop - sl[0].start
+        bw = sl[1].stop - sl[1].start
+        span = max(bh, bw)
+        thinness = areas[i] / (bh * bw)
+        keep[i] = span >= config.min_component_span and thinness <= config.max_thinness
+    return ndimage.binary_dilation(keep[labels], structure=np.ones((3, 3), dtype=bool))
+
+
 # ---------------------------------------------------------------- gaussian
 
 def blur_u8(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -253,6 +280,13 @@ class TestGaussianBlur:
     @given(u8_arrays(), sigmas)
     def test_matches_padded_convolution_oracle(self, values, sigma):
         assert np.array_equal(blur_u8(values, sigma), _round_u8(blur_oracle(values, sigma)))
+
+    @settings(deadline=None)
+    @given(u8_arrays() | u8_arrays(3), sigmas)
+    def test_matches_ndimage_bit_for_bit(self, values, sigma):
+        got = _blur_float(values, sigma)
+        assert got.shape == values.shape
+        assert np.array_equal(got.view(np.uint64), blur_ndimage_oracle(values, sigma).view(np.uint64))
 
 
 # ---------------------------------------------------------------- unsharp
@@ -427,6 +461,19 @@ class TestCleanMask:
                 for area, bh, bw in comps
             )
             assert (clean_mask(HairMask(bits), cfg).count() > 0) == expect_any_kept
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+        st.integers(1, 20), st.sampled_from([0.25, 1 / 3, 0.5, 0.75, 1.0]) | st.floats(0.01, 1.0),
+    )
+    def test_matches_ndimage_oracle(self, h, w, density, seed, span, thinness):
+        # the sampled thinness bounds equal the area ratios of small boxes,
+        # so the <= test meets its boundary
+        bits = np.random.default_rng(seed).random((h, w)) < density
+        cfg = PreprocessConfig(min_component_span=span, max_thinness=thinness)
+        got = clean_mask(HairMask(bits), cfg).bits
+        assert np.array_equal(got, clean_mask_ndimage_oracle(bits, cfg))
 
 
 # ---------------------------------------------------------------- inpaint

@@ -98,7 +98,7 @@ def _preprocess_one(task):
         raise DataError(f"{src_path}: {exc}") from exc
     Path(pre_path).parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(Path(pre_path), encode_netpbm(refined))
-    mask_u8 = np.where(mask.bits, 255, 0).astype(np.uint8)
+    mask_u8 = mask.bits.astype(np.uint8) * np.uint8(255)
     _write_atomic(Path(mask_path), encode_netpbm(GrayImage(mask_u8)))
     return rel_path, mask.count()
 

@@ -7,9 +7,11 @@ PreprocessConfig so stages can be re-run or ablated deterministically. Every
 stage works on whole arrays of numpy alone: the blur and the sharpen treat
 all three channels in one pass, detection closes the three channel planes at
 once, cleaning labels 8-connected components with a union-find over all mask
-edges at once, inpainting walks all masked pixels along each orientation with
-running min/max scans over the image laid out as lines, and smoothing sorts
-the windows of all masked pixels in one call.
+edges at once, inpainting sorts the masked pixels by line and step along
+each orientation and finds the samples beyond each masked run by binary
+search, and smoothing sorts the windows of all masked pixels in one call.
+Sharpening and inpainting allocate in proportion to their work: two padded
+float64 frames for the blur, and arrays the size of the mask for inpainting.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .raster import GrayImage, Image
+from .raster import Image
 
 # Line structuring-element orientations, degrees. 0 is horizontal, 45 runs
 # up-right, 90 vertical, 135 down-right (y grows downward).
@@ -125,16 +127,18 @@ def _blur_float(values: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian over the first two axes (rows, then columns),
     replicate borders; any trailing axes are filtered independently.
 
-    Both passes run over the edge-padded image as one flat array, in which a
-    step along a row is ``col`` elements and a step down a column ``row``
-    elements. Sums that wrap past a row end land in padding columns, which
-    the result leaves out.
+    Both passes run over the edge-padded image as one flat float64 array, in
+    which a step along a row is ``col`` elements and a step down a column
+    ``row`` elements. Sums that wrap past a row end land in padding columns,
+    which the result leaves out. The column pass writes into the front of the
+    padded array, which only the row pass reads, so the result is a view of
+    that buffer and the blur holds two padded float64 frames at most.
     """
     k = _gaussian_kernel(sigma)
     r = len(k) // 2
     h, w = values.shape[:2]
     edge = ((r, r), (r, r)) + ((0, 0),) * (values.ndim - 2)
-    padded = np.pad(values.astype(np.float64), edge, mode="edge").ravel()
+    padded = np.pad(values, edge, mode="edge").astype(np.float64).ravel()
     col = math.prod(values.shape[2:])
     row = (w + 2 * r) * col
     rows = np.empty_like(padded)
@@ -143,27 +147,40 @@ def _blur_float(values: np.ndarray, sigma: float) -> np.ndarray:
     covered = len(rows) - 2 * r * col
     rows[covered:] = 0
     _correlate_flat(padded, k, col, rows[:covered])
-    out = np.empty((h, w + 2 * r) + values.shape[2:])
+    out = padded[:h * row].reshape((h, w + 2 * r) + values.shape[2:])
     _correlate_flat(rows, k, row, out.reshape(-1))
     return out[:, :w]
-
-
-def _round_u8(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
 def unsharp_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) -> Image:
     """Sharpen: out = in + amount * (in - blur(in)), where the detail signal
     exceeds the threshold; per channel, clamped to [0, 255]. An amount of 0
-    returns the image without blurring it."""
+    returns the image without blurring it.
+
+    After the blur, every step runs in place on the blur's float64 buffer,
+    and the output doubles as the scratch space of |detail|. Each value is
+    evaluated as ``src + amount * detail + 0.5`` in float64 from integer
+    ``src`` and ``detail``, as a whole-array evaluation would.
+    """
     if config.sharpen_amount == 0:
         return image
-    src = image.pixels.astype(np.int32)
-    blurred = _round_u8(_blur_float(src, config.sharpen_sigma)).astype(np.int32)
-    detail = src - blurred
-    boosted = np.clip(np.floor(src + config.sharpen_amount * detail + 0.5), 0, 255)
-    apply = np.abs(detail) > config.sharpen_threshold
-    return Image(np.where(apply, boosted, src).astype(np.uint8))
+    src = image.pixels
+    buf = _blur_float(src, config.sharpen_sigma)
+    buf += 0.5
+    np.floor(buf, out=buf)
+    np.clip(buf, 0, 255, out=buf)  # the blur rounded to 8 bits
+    np.subtract(src, buf, out=buf)  # the detail, an integer in [-255, 255]
+    out = np.empty_like(src)
+    np.abs(buf, out=out, casting="unsafe")
+    apply = out > config.sharpen_threshold
+    buf *= config.sharpen_amount
+    buf += src
+    buf += 0.5
+    np.floor(buf, out=buf)
+    np.clip(buf, 0, 255, out=buf)
+    np.copyto(out, src)
+    np.copyto(out, buf, casting="unsafe", where=apply)
+    return Image(out)
 
 
 def _line_offsets(length: int, orientation: int) -> list[tuple[int, int]]:
@@ -197,12 +214,6 @@ def _close(values: np.ndarray, offsets) -> np.ndarray:
             dst = out[..., _overlap(dy, h), _overlap(dx, w)]
             reduce(dst, src[..., _overlap(-dy, h), _overlap(-dx, w)], out=dst)
     return out
-
-
-def morph_close_line(image: GrayImage, length: int, orientation: int) -> GrayImage:
-    """Grayscale closing (dilate then erode) with a line SE at the given
-    orientation; the SE is clipped to the image at borders."""
-    return GrayImage(_close(image.values, _line_offsets(length, orientation)))
 
 
 def detect_hair_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) -> HairMask:
@@ -289,22 +300,6 @@ def _check_shape(image: Image, mask: HairMask) -> None:
         )
 
 
-def _line_coords(h: int, w: int, orientation: int):
-    """Line and step of every pixel when the image is read line by line along
-    the orientation's direction, and the number and length of the lines."""
-    dy, dx = _DIRECTIONS[orientation]
-    y, x = np.indices((h, w))
-    if dy == 0:
-        return y, x, h, w
-    if dx == 0:
-        return x, y, w, h
-    # diagonals: one line per value of y - dy * x, stepping along x
-    return y - dy * x + (w - 1 if dy > 0 else 0), x, h + w - 1, w
-
-
-_MASKED, _SENTINEL = 1, 2  # layout codes; an unmasked pixel is 0
-
-
 def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> Image:
     """Replace each masked pixel by interpolating across its hair along the
     orientation where the masked run through it is shortest.
@@ -316,52 +311,68 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     the distance-weighted mean of both samples, one with a single side a copy
     of it, and one with no side (every line through it is masked to the
     border) is left unchanged. Unmasked pixels are returned untouched.
+
+    Only the masked pixels are visited. Along each orientation they are keyed
+    by line and step and sorted, so that each masked run is a block of
+    consecutive keys; a walk beyond a run end is one binary search in those
+    keys. The work is O(m log m) in the masked pixel count m.
     """
     _check_shape(image, mask)
     bits = mask.bits
-    if not bits.any():
+    ys, xs = np.nonzero(bits)
+    if len(ys) == 0:
         return image
     h, w = bits.shape
     margin = max(config.interp_margin, 1)
-    ys, xs = np.nonzero(bits)
     pixels = ys * w + xs
-    candidates = []
+    best = None
     for orientation in ORIENTATIONS:
-        line, step, n_lines, length = _line_coords(h, w, orientation)
-        # the mask laid out one line per row, each row led by a sentinel and
-        # an all-sentinel row last; sentinels also fill the cells of diagonal
-        # rows outside the image, so a line's pixels stay contiguous
-        stride = length + 1
-        layout = np.full((n_lines + 1, stride), _SENTINEL, dtype=np.int8)
-        layout[line, step + 1] = bits
-        layout = layout.ravel()
-        ks = line[ys, xs] * stride + step[ys, xs] + 1
-        n = len(layout)
-        # int32 positions make the scans below about 2.5x faster than int64
-        pos = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
-        # a walk stops at an unmasked pixel or a sentinel; position 0 is one
-        stop = layout != _MASKED
-        next_stop = np.minimum.accumulate(np.where(stop, pos, n)[::-1])[::-1]
-        prev_stop = np.maximum.accumulate(np.where(stop, pos, 0))
-        fwd = next_stop[ks] - ks - 1
-        bwd = ks - prev_stop[ks] - 1
-        # the sample is the first stop at or beyond run + margin steps; it is
-        # a side if it is an unmasked pixel on the same line
-        a = next_stop[np.minimum(ks + fwd + margin, n - 1)]
-        b = prev_stop[np.maximum(ks - bwd - margin, 0)]
-        has_a = (layout[a] != _SENTINEL) & (a // stride == ks // stride)
-        has_b = (layout[b] != _SENTINEL) & (b // stride == ks // stride)
-        # more sides first, then the shorter run
-        score = (2 - has_a - has_b) * (h + w + 1) + fwd + bwd + 1
-        dist_a, dist_b = a - ks, ks - b
         dy, dx = _DIRECTIONS[orientation]
+        # key = line * stride + step, where one step along the direction adds
+        # 1; a stride longer than any line keeps keys of different lines at
+        # least 2 apart
+        if dx == 0:
+            key = xs * (h + 1) + ys
+        else:
+            key = (ys - dy * xs) * (w + 1) + xs
+        order = np.argsort(key)  # keys are distinct
+        sk = key[order]
+        starts = np.diff(sk, prepend=sk[0] - 2) != 1  # the first key of each run
+        run = np.cumsum(starts) - 1  # run index of each sorted key
+        first = sk[starts]
+        last = sk[np.append(starts[1:], True)]
+        # the sample is the first unmasked key at or beyond run end + margin:
+        # that key itself, or one past the run that holds it
+        target = last + margin
+        i = np.minimum(np.searchsorted(sk, target), len(sk) - 1)
+        stop_a = np.where(sk[i] == target, last[run[i]] + 1, target)
+        target = first - margin
+        i = np.maximum(np.searchsorted(sk, target, side="right") - 1, 0)
+        stop_b = np.where(sk[i] == target, first[run[i]] - 1, target)
+        run_of = np.empty_like(run)
+        run_of[order] = run
+        dist_a = stop_a[run_of] - key
+        dist_b = key - stop_b[run_of]
+        # a stop is a side if it is in the image: a walk along the pixel's
+        # own line leaves the image exactly when the stop key lies past the
+        # line's ends, as the keys of other lines do
+        ya, xa = ys + dist_a * dy, xs + dist_a * dx
+        yb, xb = ys - dist_b * dy, xs - dist_b * dx
+        has_a = (ya >= 0) & (ya < h) & (xa >= 0) & (xa < w)
+        has_b = (yb >= 0) & (yb < h) & (xb >= 0) & (xb < w)
+        # more sides first, then the shorter run
+        score = (2 - has_a.astype(np.intp) - has_b) * (h + w + 1) + (last - first + 1)[run_of]
         flat_step = dy * w + dx
-        candidates.append((score, pixels + dist_a * flat_step, pixels - dist_b * flat_step,
-                           dist_a, dist_b, has_a, has_b))
-    table = np.array(candidates)  # (orientation, field, masked pixel)
-    best = table[:, 0].argmin(axis=0)  # the first minimum: ties go to the earlier orientation
-    _, side_a, side_b, dist_a, dist_b, has_a, has_b = table[best, :, np.arange(len(pixels))].T
-    has_a, has_b = has_a.astype(bool), has_b.astype(bool)
+        fields = (score, pixels + dist_a * flat_step, pixels - dist_b * flat_step,
+                  dist_a, dist_b, has_a, has_b)
+        if best is None:
+            best = fields
+        else:
+            # strictly better only: ties go to the earlier orientation
+            better = score < best[0]
+            for kept, new in zip(best, fields):
+                np.copyto(kept, new, where=better)
+    _, side_a, side_b, dist_a, dist_b, has_a, has_b = best
 
     src = image.pixels.reshape(-1, 3)
     out = src.copy()

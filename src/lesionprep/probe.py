@@ -43,10 +43,6 @@ class LinearProbeModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
-    @classmethod
-    def zeros(cls, dim: int = FEATURE_DIM) -> "LinearProbeModel":
-        return cls(np.zeros((2, dim)), np.zeros(2))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -105,11 +101,6 @@ def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray
     logits = logits - logits.max()
     e = np.exp(logits)
     return e / e.sum()
-
-
-def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
-    """-ln p[true_label], with p floored at 1e-12."""
-    return -math.log(max(float(probabilities[true_label]), 1e-12))
 
 
 # These take the raw (weights, bias) arrays, so the training loop does not
@@ -192,40 +183,6 @@ def train_probe(
             record(it)
 
     return LinearProbeModel(weights, bias), curve
-
-
-def gradient_check(
-    model: LinearProbeModel,
-    features: np.ndarray,
-    labels: np.ndarray,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between the analytic gradient and central finite
-    differences over all parameters. Relative error uses a 1e-6 floor so a
-    near-zero gradient does not blow up the ratio."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if len(X) == 0:
-        raise ValueError("batch must be nonempty")
-    grad_w, grad_b = batch_gradient(model.weights, model.bias, X, y)
-    analytic = np.concatenate([grad_w.ravel(), grad_b])
-
-    theta = np.concatenate([model.weights.ravel(), model.bias])
-    d = model.weights.shape[1]
-
-    def loss_at(vec: np.ndarray) -> float:
-        return batch_loss(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)
-
-    numeric = np.empty_like(theta)
-    for i in range(len(theta)):
-        plus = theta.copy()
-        minus = theta.copy()
-        plus[i] += step
-        minus[i] -= step
-        numeric[i] = (loss_at(plus) - loss_at(minus)) / (2 * step)
-
-    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def format_model(model: LinearProbeModel) -> str:

@@ -5,6 +5,12 @@ deviation) and L2RAT = sum(test^2) / sum(reference^2).
 All four pool the three color channels into one sample set and assume a peak
 value of 255. PSNR of identical images is the +inf sentinel, serialized as
 the token "inf".
+
+The sums run as float64 dot products, and the difference is formed in place
+in the reference's sample buffer. Every sample is an integer in [0, 255], so
+every product and partial sum is an integer below 255^2 * N for N samples,
+under 2^53 while N < 1.3e11. float64 holds all of them exactly, so the sums,
+and with them all four metrics, do not depend on the order of summation.
 """
 
 from __future__ import annotations
@@ -44,17 +50,18 @@ def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayI
             f"{test.width}x{test.height}"
         )
     ref, t = _samples(reference), _samples(test)
-    d = ref - t
-    m = float(np.mean(d * d))
-    denom = float(np.sum(ref * ref))
+    denom = float(np.dot(ref, ref))
     if denom == 0:
         raise ValueError("l2rat undefined for an all-zero reference")
+    l2_test = float(np.dot(t, t))
+    d = np.subtract(ref, t, out=ref)
+    m = float(np.dot(d, d)) / len(d)
     return QualityRow(
         image_id=image_id,
         psnr=math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m),
         mse=m,
-        maxerr=int(np.max(np.abs(d))),
-        l2rat=float(np.sum(t * t)) / denom,
+        maxerr=int(max(d.max(), -d.min())),
+        l2rat=l2_test / denom,
         width=reference.width,
         height=reference.height,
     )

@@ -18,16 +18,16 @@ from lesionprep.preprocess import (
     clean_mask,
     detect_hair_mask,
     inpaint_hair,
-    morph_close_line,
     smooth_inpainted,
     unsharp_mask,
 )
-from lesionprep.probe import LinearProbeModel, TrainConfig, format_curve, gradient_check, train_probe
+from lesionprep.probe import LinearProbeModel, TrainConfig, format_curve, train_probe
 from lesionprep.quality import quality_row
 from lesionprep.raster import GrayImage
 
 from synthetic import generate_sample
-from test_preprocess import closing_oracle
+from test_preprocess import closing_oracle, morph_close_line
+from test_probe import gradient_check
 
 CORPUS_SIZE = 100
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +15,17 @@ from lesionprep.preprocess import (
     HairMask,
     PreprocessConfig,
     _blur_float,
+    _close,
     _gaussian_kernel,
-    _round_u8,
+    _line_offsets,
     clean_mask,
     detect_hair_mask,
     inpaint_hair,
-    morph_close_line,
     preprocess_pipeline,
     smooth_inpainted,
     unsharp_mask,
 )
-from lesionprep.raster import GrayImage, Image
+from lesionprep.raster import GrayImage, Image, decode_netpbm
 
 from synthetic import generate_sample
 
@@ -31,6 +33,17 @@ _DIRS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
 
 
 # ---------------------------------------------------------------- oracles
+
+def round_u8(values: np.ndarray) -> np.ndarray:
+    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
+
+
+def morph_close_line(image: GrayImage, length: int, orientation: int) -> GrayImage:
+    """Grayscale closing (dilate then erode) with a line SE at the given
+    orientation, as detection runs it on each plane; the SE is clipped to
+    the image at borders."""
+    return GrayImage(_close(image.values, _line_offsets(length, orientation)))
+
 
 def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian of a 2-D array: edge padding, then one 1-D
@@ -56,7 +69,7 @@ def unsharp_oracle(pixels: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     out = src.copy()
     for c in range(3):
         channel = src[:, :, c]
-        blurred = _round_u8(blur_oracle(channel, config.sharpen_sigma)).astype(np.int32)
+        blurred = round_u8(blur_oracle(channel, config.sharpen_sigma)).astype(np.int32)
         detail = channel - blurred
         boosted = np.clip(np.floor(channel + config.sharpen_amount * detail + 0.5), 0, 255)
         out[:, :, c] = np.where(np.abs(detail) > config.sharpen_threshold, boosted, channel)
@@ -191,6 +204,23 @@ def masked_images(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     return pixels, np.random.default_rng(seed).random((h, w)) < density
 
+
+@st.composite
+def line_masked_images(draw):
+    """uint8 RGB pixels and a mask of whole rows, columns and diagonals, 1-3
+    px thick, each running from border to border; sides are 1-40 px. Every
+    masked run along a stroke ends at the image border, where a walk to a
+    sample falls off the line."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    pixels = draw(hnp.arrays(np.uint8, (h, w, 3)))
+    y, x = np.indices((h, w))
+    coord = {"row": y, "column": x, "diagonal": y - x + w - 1, "antidiagonal": y + x}
+    bits = np.zeros((h, w), bool)
+    strokes = st.tuples(st.sampled_from(sorted(coord)), st.integers(0, h + w - 2), st.integers(1, 3))
+    for kind, start, thickness in draw(st.lists(strokes, min_size=1, max_size=5)):
+        bits |= (coord[kind] >= start) & (coord[kind] < start + thickness)
+    return pixels, bits
+
 sigmas = st.floats(0.3, 3.0)
 se_lengths = st.sampled_from([3, 5, 7, 11])
 
@@ -239,11 +269,27 @@ def clean_mask_ndimage_oracle(bits: np.ndarray, config: PreprocessConfig) -> np.
     return ndimage.binary_dilation(keep[labels], structure=np.ones((3, 3), dtype=bool))
 
 
+def golden_image(name: str) -> Image:
+    return decode_netpbm((Path(__file__).parent / "data" / "golden" / f"{name}.ppm").read_bytes())
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes allocated while ``fn`` runs, as tracemalloc sees them;
+    numpy reports its array buffers to tracemalloc, so the figure does not
+    depend on the C allocator and is the same on every run."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------- gaussian
 
 def blur_u8(values: np.ndarray, sigma: float) -> np.ndarray:
     """The blur that unsharp_mask runs, rounded to 8 bits."""
-    return _round_u8(_blur_float(values, sigma))
+    return round_u8(_blur_float(values, sigma))
 
 
 class TestGaussianBlur:
@@ -279,7 +325,7 @@ class TestGaussianBlur:
     @settings(deadline=None)
     @given(u8_arrays(), sigmas)
     def test_matches_padded_convolution_oracle(self, values, sigma):
-        assert np.array_equal(blur_u8(values, sigma), _round_u8(blur_oracle(values, sigma)))
+        assert np.array_equal(blur_u8(values, sigma), round_u8(blur_oracle(values, sigma)))
 
     @settings(deadline=None)
     @given(u8_arrays() | u8_arrays(3), sigmas)
@@ -535,6 +581,14 @@ class TestInpaintHair:
         got = inpaint_hair(Image(pixels), HairMask(bits), cfg)
         assert np.array_equal(got.pixels, inpaint_oracle(pixels, bits, cfg))
 
+    @settings(max_examples=100, deadline=None)
+    @given(line_masked_images(), st.integers(0, 5))
+    def test_matches_scalar_oracle_on_runs_into_the_border(self, case, margin):
+        pixels, bits = case
+        cfg = PreprocessConfig(interp_margin=margin)
+        got = inpaint_hair(Image(pixels), HairMask(bits), cfg)
+        assert np.array_equal(got.pixels, inpaint_oracle(pixels, bits, cfg))
+
 
 # ---------------------------------------------------------------- smoothing
 
@@ -592,6 +646,26 @@ class TestSmoothInpainted:
         cfg = PreprocessConfig(median_window=window)
         got = smooth_inpainted(Image(pixels), HairMask(bits), cfg)
         assert np.array_equal(got.pixels, smooth_oracle(pixels, bits, cfg))
+
+
+# ---------------------------------------------------------------- allocation
+
+class TestAllocationBudget:
+    """Per-image kernels allocate in proportion to their work, not in whole
+    float64 frames per step; traced peaks on the 224x224 golden input."""
+
+    def test_unsharp_mask_holds_two_padded_float64_frames(self):
+        img = golden_image("hairy")
+        r = math.ceil(3 * PreprocessConfig().sharpen_sigma)
+        padded = (img.height + 2 * r) * (img.width + 2 * r) * 3 * 8
+        assert traced_peak(lambda: unsharp_mask(img)) <= 2 * padded + 2 * img.pixels.nbytes
+
+    def test_inpaint_of_a_small_mask_holds_three_uint8_frames(self):
+        img = golden_image("hairy")
+        bits = np.zeros((img.height, img.width), bool)
+        bits[np.arange(100, 120), np.arange(40, 60)] = True  # a 20 px diagonal stroke
+        mask = HairMask(bits)
+        assert traced_peak(lambda: inpaint_hair(img, mask)) <= 3 * img.pixels.nbytes
 
 
 # ---------------------------------------------------------------- pipeline

@@ -15,15 +15,56 @@ from lesionprep.probe import (
     TrainConfig,
     batch_gradient,
     batch_loss,
-    cross_entropy,
     extract_features,
     format_curve,
     format_model,
-    gradient_check,
     softmax_predict,
     train_probe,
 )
 from lesionprep.raster import Image, to_grayscale
+
+
+def zero_model(dim: int) -> LinearProbeModel:
+    return LinearProbeModel(np.zeros((2, dim)), np.zeros(2))
+
+
+def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
+    """-ln p[true_label], with p floored at 1e-12."""
+    return -math.log(max(float(probabilities[true_label]), 1e-12))
+
+
+def gradient_check(
+    model: LinearProbeModel,
+    features: np.ndarray,
+    labels: np.ndarray,
+    step: float = 1e-5,
+) -> float:
+    """Max relative error between the analytic gradient and central finite
+    differences over all parameters. Relative error uses a 1e-6 floor so a
+    near-zero gradient does not blow up the ratio."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if len(X) == 0:
+        raise ValueError("batch must be nonempty")
+    grad_w, grad_b = batch_gradient(model.weights, model.bias, X, y)
+    analytic = np.concatenate([grad_w.ravel(), grad_b])
+
+    theta = np.concatenate([model.weights.ravel(), model.bias])
+    d = model.weights.shape[1]
+
+    def loss_at(vec: np.ndarray) -> float:
+        return batch_loss(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)
+
+    numeric = np.empty_like(theta)
+    for i in range(len(theta)):
+        plus = theta.copy()
+        minus = theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        numeric[i] = (loss_at(plus) - loss_at(minus)) / (2 * step)
+
+    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def uniform_image(r, g, b, size=4):
@@ -126,7 +167,7 @@ class TestExtractFeatures:
 
 class TestSoftmax:
     def test_zero_model_is_uniform(self):
-        model = LinearProbeModel.zeros(3)
+        model = zero_model(3)
         p = softmax_predict(model, np.zeros(3))
         assert p.tolist() == [0.5, 0.5]
 
@@ -180,7 +221,7 @@ class TestGradientCheck:
         # duplicated points with opposite labels at a zero model: gradient 0
         X = np.tile(np.array([[0.3, 0.7]]), (2, 1))
         y = np.array([0, 1])
-        model = LinearProbeModel.zeros(2)
+        model = zero_model(2)
         gw, gb = batch_gradient(model.weights, model.bias, X, y)
         assert np.abs(gw).max() < 1e-8 and np.abs(gb).max() < 1e-8
         assert gradient_check(model, X, y) < 1e-5

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lesionprep.quality import format_quality_report, quality_report, quality_row
+from lesionprep.quality import PEAK_SQUARED, QualityRow, format_quality_report, quality_report, quality_row
 from lesionprep.raster import GrayImage, Image
+
+from test_preprocess import golden_image, traced_peak
 
 # Published before/after metric rows whose PSNR and MSE are mutually
 # consistent under psnr = 10*log10(255^2 / mse).
@@ -31,6 +36,76 @@ def row(reference, test):
     """quality_row, the one implementation of all four metrics; the classes
     below check each metric through its field."""
     return quality_row("t", reference, test)
+
+
+def quality_oracle(image_id, reference, test) -> QualityRow:
+    """The four metrics by whole-array float64 formulas."""
+    def samples(image):
+        arr = image.pixels if isinstance(image, Image) else image.values
+        return arr.astype(np.float64).ravel()
+
+    ref, t = samples(reference), samples(test)
+    d = ref - t
+    m = float(np.mean(d * d))
+    denom = float(np.sum(ref * ref))
+    if denom == 0:
+        raise ValueError("l2rat undefined for an all-zero reference")
+    return QualityRow(
+        image_id=image_id,
+        psnr=math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m),
+        mse=m,
+        maxerr=int(np.max(np.abs(d))),
+        l2rat=float(np.sum(t * t)) / denom,
+        width=reference.width,
+        height=reference.height,
+    )
+
+
+@st.composite
+def image_pairs(draw):
+    """A reference and a test image of one size, gray or color, sides 1-64
+    px; either may be random, all 0 or all 255, or the test a copy, so that
+    the all-zero-reference error and the inf PSNR come up often."""
+    shape = (draw(st.integers(1, 64)), draw(st.integers(1, 64))) + draw(st.sampled_from([(), (3,)]))
+    wrap = Image if len(shape) == 3 else GrayImage
+
+    def image():
+        fill = draw(st.sampled_from(["random", 0, 255]))
+        if fill == "random":
+            return draw(hnp.arrays(np.uint8, shape))
+        return np.full(shape, fill, np.uint8)
+
+    reference = image()
+    test = reference if draw(st.booleans()) else image()
+    return wrap(reference), wrap(test)
+
+
+class TestOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(image_pairs())
+    def test_every_field_equals_the_whole_array_formulas(self, pair):
+        reference, test = pair
+        try:
+            want = quality_oracle("p", reference, test)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                quality_row("p", reference, test)
+            return
+        assert quality_row("p", reference, test) == want
+
+    def test_all_zero_test_against_all_255_reference(self):
+        reference = Image(np.full((64, 64, 3), 255, np.uint8))
+        test = Image(np.zeros((64, 64, 3), np.uint8))
+        got = quality_row("x", reference, test)
+        assert got == quality_oracle("x", reference, test)
+        assert (got.psnr, got.mse, got.maxerr, got.l2rat) == (0.0, 65025.0, 255, 0.0)
+
+
+class TestAllocationBudget:
+    def test_quality_row_holds_two_float64_frames(self):
+        reference, test = golden_image("clean"), golden_image("hairy")
+        u8 = reference.pixels.nbytes
+        assert traced_peak(lambda: quality_row("x", reference, test)) <= 2 * 8 * u8 + u8
 
 
 class TestMse:

@@ -8,6 +8,21 @@ Feature layout (all in [0, 1]):
   [48:51]  per-channel mean / 255      (r, g, b)
   [51:54]  per-channel std / 255       (population std; r, g, b)
   [54]     mean Sobel gradient magnitude of the luma, / (1020 * sqrt(2))
+
+The features are computed without a float64 copy of the image. One 256-bin
+``np.bincount`` per channel gives the histograms (summed in groups of 16) and
+the exact integer sum behind each mean. Each std is numpy's population std
+over a float64 (n, 3) copy, reproduced bit for bit: a 256-entry table of
+``(v - mean)**2`` is indexed in pixel order and summed sequentially by
+``np.cumsum``, which is the order in which numpy reduces that copy along its
+first axis. The Sobel responses of the luma are exact int32 sums. Besides
+correctly rounded arithmetic, the features call only libm's ``hypot`` (through
+``np.hypot``) and the pairwise sum of ``np.mean``; no float matmul enters
+them, so they do not depend on the BLAS kernel.
+
+Each curve point takes a set's accuracy and loss from one softmax. The two
+float matmuls of each training step go through BLAS, so the model and curve
+bytes depend on the BLAS kernel as well as on ``np.exp``.
 """
 
 from __future__ import annotations
@@ -68,27 +83,31 @@ class CurvePoint:
     val_cross_entropy: float
 
 
+_LEVELS = np.arange(256)
+_ONE_HOT = np.eye(2)
+
+
 def extract_features(image: Image) -> np.ndarray:
-    """Deterministic 55-dim descriptor; see the module docstring for layout."""
+    """Deterministic 55-dim descriptor; see the module docstring for layout
+    and for how each part is summed."""
     pixels = image.pixels
     n = pixels.shape[0] * pixels.shape[1]
-    parts = []
-    for c in range(3):
-        counts = np.bincount((pixels[:, :, c] // 16).ravel(), minlength=16)
-        parts.append(counts / n)
-    flat = pixels.reshape(-1, 3).astype(np.float64)
-    means = flat.mean(axis=0) / 255.0
-    stds = flat.std(axis=0) / 255.0
-
-    gx, gy = _sobel(to_grayscale(image).values.astype(np.float64))
+    channels = [pixels[:, :, c].ravel() for c in range(3)]
+    counts = np.stack([np.bincount(v, minlength=256) for v in channels])
+    means = counts @ _LEVELS / n
+    variances = np.array(
+        [np.cumsum(np.square(_LEVELS - m).take(v))[-1] for m, v in zip(means, channels)]
+    ) / n
+    gx, gy = _sobel(to_grayscale(image).values.astype(np.int32))
     edge = float(np.mean(np.hypot(gx, gy))) / _SOBEL_MAX
-
-    return np.concatenate(parts + [means, stds, [edge]])
+    histograms = counts.reshape(3, 16, 16).sum(axis=2) / n
+    return np.concatenate([histograms.ravel(), means / 255.0, np.sqrt(variances) / 255.0, [edge]])
 
 
 def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel responses along x and y with replicate borders. The luma holds
-    integers, so float64 sums them exactly in any order."""
+    """Sobel responses along x and y with replicate borders, in the dtype of
+    ``gray``. On an int32 luma every sum is exact. Not int16: ``np.hypot``
+    of int16 operands resolves to float32."""
     p = np.pad(gray, 1, mode="edge")
     dx = p[:, 2:] - p[:, :-2]
     dy = p[2:] - p[:-2]
@@ -104,31 +123,31 @@ def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray
 
 
 # These take the raw (weights, bias) arrays, so the training loop does not
-# build and validate a LinearProbeModel on every iteration.
+# build and validate a LinearProbeModel on every iteration. With two classes
+# the row max and the row sum are one elementwise op on the two columns.
 def _batch_probs(weights, bias, features: np.ndarray) -> np.ndarray:
-    logits = features @ weights.T + bias
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    probs = features @ weights.T
+    probs += bias
+    probs -= np.maximum(probs[:, :1], probs[:, 1:])
+    np.exp(probs, out=probs)
+    probs /= probs[:, :1] + probs[:, 1:]
+    return probs
 
 
-def batch_loss(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over a batch."""
+def batch_scores(weights, bias, features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy over a batch, from one softmax."""
     probs = _batch_probs(weights, bias, features)
+    accuracy = np.count_nonzero(probs.argmax(axis=1) == labels) / len(labels)
     p_true = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
-    return float(np.mean(-np.log(p_true)))
+    return accuracy, float(np.mean(-np.log(p_true)))
 
 
 def batch_gradient(weights, bias, features: np.ndarray, labels: np.ndarray):
     """Analytic gradient of the mean cross-entropy wrt (weights, bias)."""
     delta = _batch_probs(weights, bias, features)
-    delta[np.arange(len(labels)), labels] -= 1.0
-    return delta.T @ features / len(labels), delta.mean(axis=0)
-
-
-def _accuracy(weights, bias, features: np.ndarray, labels: np.ndarray) -> float:
-    preds = _batch_probs(weights, bias, features).argmax(axis=1)
-    return float(np.mean(preds == labels))
+    delta -= _ONE_HOT.take(labels, axis=0)
+    m = len(labels)
+    return delta.T @ features / m, np.add.reduce(delta, 0) / m
 
 
 def train_probe(
@@ -142,45 +161,48 @@ def train_probe(
 
     Batches are consecutive chunks of a per-epoch shuffled order (seeded, so
     the whole run is reproducible bit for bit). The curve is sampled every
-    eval_interval iterations and at the final iteration.
+    eval_interval iterations and at the final iteration. Inputs are checked
+    before the first iteration.
     """
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
     if X.ndim != 2 or len(X) == 0:
         raise ValueError("training set must be a nonempty 2-D array")
-    if len(X) != len(y):
-        raise ValueError("features/labels length mismatch")
-    Xv = np.asarray(val_features, dtype=np.float64).reshape(-1, X.shape[1])
+    if y.ndim != 1 or len(X) != len(y):
+        raise ValueError(f"train features/labels length mismatch: {len(X)} rows, labels of shape {y.shape}")
+    Xv = np.asarray(val_features, dtype=np.float64)
     yv = np.asarray(val_labels, dtype=np.int64)
+    if Xv.size == 0:
+        Xv = Xv.reshape(0, X.shape[1])
+    if Xv.ndim != 2 or Xv.shape[1] != X.shape[1]:
+        raise ValueError(f"val features must be rows of {X.shape[1]} features, got shape {Xv.shape}")
+    if yv.ndim != 1 or len(Xv) != len(yv):
+        raise ValueError(f"val features/labels length mismatch: {len(Xv)} rows, labels of shape {yv.shape}")
+    for name, labels in (("train", y), ("val", yv)):
+        bad = labels[(labels != 0) & (labels != 1)]
+        if len(bad):
+            raise ValueError(f"{name} labels must be 0 or 1, got {bad[0]}")
 
     weights = np.zeros((2, X.shape[1]))
     bias = np.zeros(2)
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(X))
+    n, batch, rate = len(X), config.batch_size, config.learning_rate
+    order = rng.permutation(n)
     cursor = 0
     curve = []
-
-    def record(iteration: int):
-        if len(Xv):
-            va, vx = _accuracy(weights, bias, Xv, yv), batch_loss(weights, bias, Xv, yv)
-        else:
-            va, vx = math.nan, math.nan
-        curve.append(
-            CurvePoint(iteration, _accuracy(weights, bias, X, y), va,
-                       batch_loss(weights, bias, X, y), vx)
-        )
-
     for it in range(1, config.iterations + 1):
-        if cursor >= len(X):
-            order = rng.permutation(len(X))
+        if cursor >= n:
+            order = rng.permutation(n)
             cursor = 0
-        idx = order[cursor : cursor + config.batch_size]
-        cursor += config.batch_size
-        grad_w, grad_b = batch_gradient(weights, bias, X[idx], y[idx])
-        weights -= config.learning_rate * grad_w
-        bias -= config.learning_rate * grad_b
+        idx = order[cursor : cursor + batch]
+        cursor += batch
+        grad_w, grad_b = batch_gradient(weights, bias, X.take(idx, axis=0), y.take(idx))
+        weights -= rate * grad_w
+        bias -= rate * grad_b
         if it % config.eval_interval == 0 or it == config.iterations:
-            record(it)
+            train_acc, train_xent = batch_scores(weights, bias, X, y)
+            val_acc, val_xent = batch_scores(weights, bias, Xv, yv) if len(Xv) else (math.nan, math.nan)
+            curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
 
     return LinearProbeModel(weights, bias), curve
 

@@ -154,8 +154,24 @@ def encode_netpbm(image: Image | GrayImage) -> bytes:
     return header + payload
 
 
+# Each BT.601 weight times every 8-bit level, one row per channel (R, G, B).
+_LUMA = np.array([[0.299], [0.587], [0.114]]) * np.arange(256)
+
+
 def to_grayscale(image: Image) -> GrayImage:
-    """BT.601 luma: round(0.299 R + 0.587 G + 0.114 B), round half up."""
-    p = image.pixels.astype(np.float64)
-    y = 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
-    return GrayImage(np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8))
+    """BT.601 luma: round(0.299 R + 0.587 G + 0.114 B), round half up.
+
+    Each weighted channel is looked up in ``_LUMA``, whose entries are the
+    float64 products the formula forms, and the three are added in the order
+    R, G, B; so the luma equals the float64 formula's bit for bit (checked on
+    all 2^24 triples) without a float64 copy of the image. The sum never
+    reaches 255.5, so floor(y + 0.5) needs no clip. The integer formula
+    (299 R + 587 G + 114 B + 500) // 1000 is not a substitute: it differs on
+    3,464 triples.
+    """
+    p = image.pixels
+    y = _LUMA[0].take(p[:, :, 0])
+    y += _LUMA[1].take(p[:, :, 1])
+    y += _LUMA[2].take(p[:, :, 2])
+    y += 0.5
+    return GrayImage(np.floor(y, out=y).astype(np.uint8))

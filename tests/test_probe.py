@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -14,7 +14,7 @@ from lesionprep.probe import (
     LinearProbeModel,
     TrainConfig,
     batch_gradient,
-    batch_loss,
+    batch_scores,
     extract_features,
     format_curve,
     format_model,
@@ -22,6 +22,8 @@ from lesionprep.probe import (
     train_probe,
 )
 from lesionprep.raster import Image, to_grayscale
+from test_preprocess import golden_image, traced_peak
+from test_raster import luma_oracle
 
 
 def zero_model(dim: int) -> LinearProbeModel:
@@ -53,7 +55,7 @@ def gradient_check(
     d = model.weights.shape[1]
 
     def loss_at(vec: np.ndarray) -> float:
-        return batch_loss(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)
+        return batch_scores(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)[1]
 
     numeric = np.empty_like(theta)
     for i in range(len(theta)):
@@ -100,6 +102,136 @@ def edge_oracle(img):
 def sobel_oracle(gray):
     """scipy's Sobel responses along x and y with replicate borders."""
     return ndimage.sobel(gray, axis=1, mode="nearest"), ndimage.sobel(gray, axis=0, mode="nearest")
+
+
+def features_oracle(image: Image) -> np.ndarray:
+    """The whole-array descriptor that extract_features replaced: numpy's
+    mean and std over a float64 (n, 3) copy of the pixels, the float64 luma
+    and scipy's Sobel."""
+    pixels = image.pixels
+    n = pixels.shape[0] * pixels.shape[1]
+    parts = [np.bincount((pixels[:, :, c] // 16).ravel(), minlength=16) / n for c in range(3)]
+    flat = pixels.reshape(-1, 3).astype(np.float64)
+    luma = luma_oracle(pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2])
+    gx, gy = sobel_oracle(luma.astype(np.float64))
+    edge = float(np.mean(np.hypot(gx, gy))) / (1020.0 * math.sqrt(2.0))
+    return np.concatenate(parts + [flat.mean(axis=0) / 255.0, flat.std(axis=0) / 255.0, [edge]])
+
+
+@st.composite
+def seeded_arrays(draw):
+    """(h, w, 3) uint8 images of 1-40 px per side whose values come from a
+    drawn set of levels; a seeded numpy draw fills them, which is far
+    cheaper than drawing each pixel through hypothesis."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    levels = np.array(draw(st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True)), np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return levels[rng.integers(0, len(levels), (h, w, 3))]
+
+
+@st.composite
+def two_valued_arrays(draw):
+    """Images whose channels hold only two distinct levels, in any mix: the
+    std's squared deviations then take two values, so the order in which
+    they are summed decides the last bits."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    low, high = draw(st.lists(st.integers(0, 255), min_size=2, max_size=2, unique=True))
+    density = draw(st.floats(0, 1))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w, 3)) < density
+    return np.where(picks, high, low).astype(np.uint8)
+
+
+# train_probe as it was before its lean loop: numpy's keepdims max and sum,
+# a fancy-indexed gradient, delta.mean and four softmaxes per curve point.
+def _oracle_probs(weights, bias, features):
+    logits = features @ weights.T + bias
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _oracle_loss(weights, bias, features, labels):
+    probs = _oracle_probs(weights, bias, features)
+    p_true = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
+    return float(np.mean(-np.log(p_true)))
+
+
+def _oracle_gradient(weights, bias, features, labels):
+    delta = _oracle_probs(weights, bias, features)
+    delta[np.arange(len(labels)), labels] -= 1.0
+    return delta.T @ features / len(labels), delta.mean(axis=0)
+
+
+def _oracle_accuracy(weights, bias, features, labels):
+    preds = _oracle_probs(weights, bias, features).argmax(axis=1)
+    return float(np.mean(preds == labels))
+
+
+def train_probe_oracle(train_features, train_labels, val_features, val_labels, config):
+    X = np.asarray(train_features, dtype=np.float64)
+    y = np.asarray(train_labels, dtype=np.int64)
+    Xv = np.asarray(val_features, dtype=np.float64).reshape(-1, X.shape[1])
+    yv = np.asarray(val_labels, dtype=np.int64)
+
+    weights = np.zeros((2, X.shape[1]))
+    bias = np.zeros(2)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(X))
+    cursor = 0
+    curve = []
+
+    def record(iteration):
+        if len(Xv):
+            va, vx = _oracle_accuracy(weights, bias, Xv, yv), _oracle_loss(weights, bias, Xv, yv)
+        else:
+            va, vx = math.nan, math.nan
+        curve.append(
+            CurvePoint(iteration, _oracle_accuracy(weights, bias, X, y), va,
+                       _oracle_loss(weights, bias, X, y), vx)
+        )
+
+    for it in range(1, config.iterations + 1):
+        if cursor >= len(X):
+            order = rng.permutation(len(X))
+            cursor = 0
+        idx = order[cursor : cursor + config.batch_size]
+        cursor += config.batch_size
+        grad_w, grad_b = _oracle_gradient(weights, bias, X[idx], y[idx])
+        weights -= config.learning_rate * grad_w
+        bias -= config.learning_rate * grad_b
+        if it % config.eval_interval == 0 or it == config.iterations:
+            record(it)
+
+    return LinearProbeModel(weights, bias), curve
+
+
+def assert_trains_like_oracle(data, config):
+    model, curve = train_probe(*data, config)
+    want_model, want_curve = train_probe_oracle(*data, config)
+    assert format_model(model) == format_model(want_model)
+    assert format_curve(curve) == format_curve(want_curve)
+
+
+def random_training_set(seed, n, d, n_val, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0, scale, (n, d)), rng.integers(0, 2, n),
+            rng.uniform(0, scale, (n_val, d)), rng.integers(0, 2, n_val))
+
+
+@st.composite
+def training_runs(draw):
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 55))
+    data = random_training_set(draw(st.integers(0, 2**32 - 1)), n, d, draw(st.integers(0, 8)),
+                               draw(st.sampled_from([1.0, 30.0])))
+    batch = draw(st.one_of(st.integers(1, n), st.just(n), st.integers(n, n + 8)))
+    config = TrainConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        learning_rate=draw(st.sampled_from([0.005, 0.5, 4.0])),
+        batch_size=batch,
+        iterations=draw(st.integers(1, 30)),
+        eval_interval=draw(st.integers(1, 12)),
+    )
+    return data, config
 
 
 def make_blobs(rng, n=100, dim=2, sep=0.6):
@@ -154,15 +286,39 @@ class TestExtractFeatures:
     @settings(deadline=None, max_examples=200)
     @given(st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(lambda hw: hnp.arrays(np.uint8, hw)))
     def test_sobel_matches_scipy_bit_for_bit(self, luma):
-        gray = luma.astype(np.float64)
-        for got, want in zip(probe._sobel(gray), sobel_oracle(gray)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in zip(probe._sobel(luma.astype(np.int32)), sobel_oracle(luma.astype(np.float64))):
+            assert got.dtype == np.int32 and got.shape == want.shape
+            assert got.astype(np.float64).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 40), (2, 1), (40, 1), (40, 40)])
     def test_sobel_matches_scipy_on_thin_planes(self, rng, shape):
-        gray = rng.integers(0, 256, size=shape).astype(np.float64)
-        for got, want in zip(probe._sobel(gray), sobel_oracle(gray)):
-            assert got.tobytes() == want.tobytes()
+        luma = rng.integers(0, 256, size=shape)
+        for got, want in zip(probe._sobel(luma.astype(np.int32)), sobel_oracle(luma.astype(np.float64))):
+            assert got.astype(np.float64).tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=75)
+    @given(seeded_arrays())
+    @example(np.zeros((1, 1, 3), np.uint8))
+    @example(np.full((1, 40, 3), 255, np.uint8))
+    @example(np.arange(120, dtype=np.uint8).reshape(40, 1, 3))
+    def test_matches_oracle_byte_for_byte(self, pixels):
+        img = Image(pixels)
+        assert extract_features(img).tobytes() == features_oracle(img).tobytes()
+
+    @settings(deadline=None, max_examples=75)
+    @given(two_valued_arrays())
+    @example(np.resize(np.array([7, 200], np.uint8), (1, 40, 3)))
+    @example(np.resize(np.array([7, 7, 200], np.uint8), (40, 1, 3)))
+    @example(np.resize(np.array([0, 255, 255], np.uint8), (2, 1, 3)))
+    def test_two_valued_images_match_oracle_byte_for_byte(self, pixels):
+        img = Image(pixels)
+        assert extract_features(img).tobytes() == features_oracle(img).tobytes()
+
+    def test_allocates_at_most_five_float64_planes(self):
+        # one float64 plane of the 224x224 golden image is 401,408 bytes; the
+        # whole-array version peaked at 3.7 MB, about nine planes
+        img = golden_image("hairy")
+        assert traced_peak(lambda: extract_features(img)) <= 5 * img.height * img.width * 8
 
 
 class TestSoftmax:
@@ -279,6 +435,59 @@ class TestTraining:
             train_probe(np.zeros((0, 2)), np.zeros(0, int), np.zeros((0, 2)),
                         np.zeros(0, int), TrainConfig(seed=0))
 
+    @settings(deadline=None, max_examples=30)
+    @given(training_runs())
+    # batch below, equal to and above n; intervals that do not divide the
+    # iterations; an empty validation set; one row; the bench's split sizes
+    @example((random_training_set(1, 12, 55, 4), TrainConfig(seed=2, batch_size=5, iterations=37, eval_interval=10)))
+    @example((random_training_set(3, 12, 55, 4), TrainConfig(seed=4, batch_size=12, iterations=30, eval_interval=7)))
+    @example((random_training_set(5, 12, 55, 4), TrainConfig(seed=6, batch_size=20, iterations=30, eval_interval=30)))
+    @example((random_training_set(7, 12, 55, 0), TrainConfig(seed=8, batch_size=5, iterations=23, eval_interval=6)))
+    @example((random_training_set(9, 1, 1, 1), TrainConfig(seed=10, batch_size=1, iterations=9, eval_interval=4)))
+    @example((random_training_set(11, 24, 55, 6), TrainConfig(seed=12, iterations=300)))
+    def test_matches_oracle_byte_for_byte(self, run):
+        assert_trains_like_oracle(*run)
+
+
+class TestTrainingInputChecks:
+    """Bad inputs are rejected before the first iteration."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def trained(*args):
+            raise AssertionError("train_probe ran an iteration before rejecting its input")
+
+        monkeypatch.setattr(probe, "batch_gradient", trained)
+
+    def args(self, **override):
+        X = np.zeros((4, 3))
+        base = {"train_features": X, "train_labels": np.array([0, 1, 0, 1]),
+                "val_features": X[:2], "val_labels": np.array([1, 0])}
+        return {**base, **override}
+
+    @pytest.mark.parametrize("val_labels", [np.array([1]), np.array([1, 0, 1])])
+    def test_val_length_mismatch(self, val_labels):
+        with pytest.raises(ValueError, match=r"val features/labels length mismatch: 2 rows"):
+            train_probe(**self.args(val_labels=val_labels), config=TrainConfig(seed=0))
+
+    def test_train_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"train features/labels length mismatch: 4 rows"):
+            train_probe(**self.args(train_labels=np.array([0, 1, 0])), config=TrainConfig(seed=0))
+
+    def test_val_width_mismatch(self):
+        with pytest.raises(ValueError, match=r"val features must be rows of 3 features, got shape \(1, 6\)"):
+            train_probe(**self.args(val_features=np.zeros((1, 6)), val_labels=np.array([0])),
+                        config=TrainConfig(seed=0))
+
+    @pytest.mark.parametrize("split, labels, bad", [
+        ("train", np.array([0, 1, 2, 1]), 2),
+        ("train", np.array([0, -1, 0, 1]), -1),
+        ("val", np.array([1, 3]), 3),
+    ])
+    def test_label_outside_zero_one(self, split, labels, bad):
+        with pytest.raises(ValueError, match=rf"{split} labels must be 0 or 1, got {bad}$"):
+            train_probe(**self.args(**{f"{split}_labels": labels}), config=TrainConfig(seed=0))
+
 
 class TestPersistence:
     def test_model_text_layout(self, rng):
@@ -302,4 +511,4 @@ class TestPersistence:
         expected = np.mean(
             [cross_entropy(softmax_predict(model, x), label) for x, label in zip(X, y)]
         )
-        assert batch_loss(model.weights, model.bias, X, y) == pytest.approx(expected, rel=1e-12)
+        assert batch_scores(model.weights, model.bias, X, y)[1] == pytest.approx(expected, rel=1e-12)

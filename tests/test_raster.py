@@ -21,6 +21,13 @@ def random_gray(rng, w, h):
     return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
 
 
+def luma_oracle(r, g, b) -> np.ndarray:
+    """BT.601 luma in float64, round half up, as to_grayscale computed it
+    before its per-channel tables; broadcasts over the three channels."""
+    y = 0.299 * np.asarray(r, np.float64) + 0.587 * np.asarray(g, np.float64) + 0.114 * np.asarray(b, np.float64)
+    return np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
+
+
 class TestDecode:
     def test_smallest_color_file(self):
         img = decode_netpbm(b"P6 1 1 255\n\xff\x00\x00")
@@ -111,6 +118,19 @@ class TestGrayscale:
     def test_pure_red_rounds_to_76(self):
         img = Image(np.array([[[255, 0, 0]]], np.uint8))
         assert to_grayscale(img).values[0, 0] == 76  # round(76.245)
+
+    def test_matches_float_formula_on_every_triple(self):
+        # all 2^24 triples, one 256x256 image per red level whose rows run
+        # over green and whose columns run over blue; small enough to stay
+        # in cache, which keeps the whole check near 0.5 s
+        levels = np.arange(256, dtype=np.uint8)
+        pixels = np.empty((256, 256, 3), np.uint8)
+        pixels[..., 1] = levels[:, None]
+        pixels[..., 2] = levels
+        for red in range(256):
+            pixels[..., 0] = red
+            got = to_grayscale(Image(pixels)).values
+            assert np.array_equal(got, luma_oracle(red, levels[:, None], levels)), red
 
     def test_monotone_in_uniform_scaling(self, rng):
         for _ in range(100):

@@ -46,15 +46,29 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _read(path, parse):
+    """``parse(Path(path))``. An OSError or ValueError from reading or parsing
+    the file becomes a DataError that names it."""
+    try:
+        return parse(Path(path))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def _load_image(path: Path):
     from .raster import Image, decode_netpbm
 
-    try:
-        img = decode_netpbm(path.read_bytes())
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    img = decode_netpbm(path.read_bytes())
     if not isinstance(img, Image):
-        raise DataError(f"{path}: expected a color (P6) image")
+        raise ValueError("expected a color (P6) image")
     return img
 
 
@@ -91,11 +105,7 @@ def _preprocess_one(task):
     from .raster import GrayImage, encode_netpbm
 
     rel_path, src_path, pre_path, mask_path, config = task
-    image = _load_image(Path(src_path))
-    try:
-        refined, mask = preprocess_pipeline(image, config)
-    except ValueError as exc:
-        raise DataError(f"{src_path}: {exc}") from exc
+    refined, mask = _read(src_path, lambda path: preprocess_pipeline(_load_image(path), config))
     Path(pre_path).parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(Path(pre_path), encode_netpbm(refined))
     mask_u8 = mask.bits.astype(np.uint8) * np.uint8(255)
@@ -110,7 +120,7 @@ def cmd_preprocess(args) -> int:
 
     config = _config(PreprocessConfig, args)
     log.info("preprocess config: %s", config)
-    entries = dataset.read_manifest(args.manifest)
+    entries = _read(args.manifest, dataset.read_manifest)
     images_root = Path(args.images_root)
     out_root = Path(args.out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -128,12 +138,10 @@ def cmd_preprocess(args) -> int:
             results = list(pool.map(_preprocess_one, tasks))
     else:
         results = [_preprocess_one(t) for t in tasks]
-    sidecar = out_root / "preprocess_log.jsonl"
     config_dict = dataclasses.asdict(config)
-    with sidecar.open("w") as f:
-        for rel_path, masked in results:  # manifest order, pool-width independent
-            f.write(json.dumps({"path": rel_path, "config": config_dict,
-                                "masked_pixels": masked}, sort_keys=True) + "\n")
+    lines = (json.dumps({"path": rel_path, "config": config_dict, "masked_pixels": masked}, sort_keys=True)
+             for rel_path, masked in results)  # manifest order, pool-width independent
+    _write_text(out_root / "preprocess_log.jsonl", "".join(line + "\n" for line in lines))
     log.info("preprocessed %d images into %s", len(results), out_root)
     return 0
 
@@ -141,35 +149,29 @@ def cmd_preprocess(args) -> int:
 def cmd_quality(args) -> int:
     from . import quality
 
-    entries = dataset.read_manifest(args.manifest)
+    entries = _read(args.manifest, dataset.read_manifest)
     images_root = Path(args.images_root)
     pre_root = Path(args.pre_root)
-    pairs = []
-    for e in entries:
-        pre_path, _ = _out_paths(pre_root, e.path)
-        if not pre_path.exists():
-            raise DataError(f"missing preprocessed counterpart {pre_path}")
-        pairs.append((e.path, _load_image(images_root / e.path), _load_image(pre_path)))
-    rows = quality.quality_report(pairs)
-    text = quality.format_quality_report(rows, include_mean=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+
+    def pairs():  # one pair decoded at a time
+        for e in entries:
+            pre_path, _ = _out_paths(pre_root, e.path)
+            if not pre_path.exists():
+                raise DataError(f"missing preprocessed counterpart {pre_path}")
+            yield e.path, _read(images_root / e.path, _load_image), _read(pre_path, _load_image)
+
+    _write_text(args.out, quality.format_quality_report(quality.quality_report(pairs())))
     return 0
 
 
 def cmd_split(args) -> int:
     config = _config(dataset.SplitConfig, args)
     log.info("split config: %s", config)
-    try:
-        entries = dataset.scan_dataset(args.root)
-    except (FileNotFoundError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+    entries = dataset.scan_dataset(args.root)  # its errors name the root
     train = [e for e in entries if e.split == "train"]
     rest = [e for e in entries if e.split != "train"]
     out = dataset.split_train_val(train, config) + rest
-    dataset.write_manifest(out, args.out)
+    _write_text(args.out, dataset.format_manifest(out))
     counts = {s: sum(1 for e in out if e.split == s) for s in dataset.SPLITS}
     log.info("wrote %s: %s", args.out, counts)
     return 0
@@ -180,16 +182,15 @@ def _features_for(entries, images_root: Path):
 
     from . import probe
 
-    labels = {"benign": 0, "malignant": 1}
     X, y = [], []
     for e in entries:
-        X.append(probe.extract_features(_load_image(images_root / e.path)))
-        y.append(labels[e.label])
+        X.append(probe.extract_features(_read(images_root / e.path, _load_image)))
+        y.append(dataset.LABELS.index(e.label))
     return np.array(X), np.array(y, dtype=np.int64)
 
 
-def _render_curve_svg(curve, path: Path) -> None:
-    """Minimal line rendering of the accuracy and loss curves."""
+def _render_curve_svg(curve) -> str:
+    """Minimal SVG line rendering of the accuracy and loss curves."""
     w, h = 640, 400
     max_it = max(p.iteration for p in curve) or 1
     max_loss = max(
@@ -213,7 +214,7 @@ def _render_curve_svg(curve, path: Path) -> None:
         poly([p.val_cross_entropy for p in curve], max_loss, "orange"),
         "</svg>",
     ]
-    path.write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def cmd_train_probe(args) -> int:
@@ -221,46 +222,44 @@ def cmd_train_probe(args) -> int:
 
     config = _config(probe.TrainConfig, args)
     log.info("train config: %s", config)
-    entries = dataset.read_manifest(args.manifest)
+    entries = _read(args.manifest, dataset.read_manifest)
     images_root = Path(args.images_root)
     X_train, y_train = _features_for([e for e in entries if e.split == "train"], images_root)
     X_val, y_val = _features_for([e for e in entries if e.split == "val"], images_root)
     if len(X_train) == 0:
         raise DataError("manifest has no train entries")
     model, curve = probe.train_probe(X_train, y_train, X_val, y_val, config)
-    probe.save_model(model, args.model_out)
-    Path(args.curve_out).write_text(probe.format_curve(curve))
+    _write_text(args.model_out, probe.format_model(model))
+    _write_text(args.curve_out, probe.format_curve(curve))
     if args.render_svg:
-        _render_curve_svg(curve, Path(args.render_svg))
+        _write_text(args.render_svg, _render_curve_svg(curve))
     log.info("final point: %s", curve[-1])
     return 0
 
 
 def cmd_eval(args) -> int:
-    try:
-        records = evaluation.parse_prediction_log(Path(args.log).read_bytes())
-        report = evaluation.metrics_report(records)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{args.log}: {exc}") from exc
+    report = _read(args.log, lambda path: evaluation.metrics_report(
+        evaluation.parse_prediction_log(path.read_bytes())))
     payload = evaluation.report_to_dict(report, paper_round=args.paper_rounding)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     sys.stderr.write(evaluation.render_report_text(report, paper_round=args.paper_rounding))
     return 0
+
+
+def _saved_report(path: Path) -> evaluation.MetricsReport:
+    """The report of the `confusion` counts in a saved eval report."""
+    payload = json.loads(path.read_bytes())
+    try:
+        return evaluation.MetricsReport(evaluation.ConfusionMatrix(**payload["confusion"]))
+    except (KeyError, TypeError) as exc:  # a missing, unknown or ill-typed field
+        raise ValueError(str(exc)) from exc
 
 
 def cmd_report(args) -> int:
     """Re-render a saved eval report, recomputing every metric from its
     `confusion` counts; the stored `metrics` are not read."""
-    try:
-        payload = json.loads(Path(args.input).read_text())
-        report = evaluation.MetricsReport(evaluation.ConfusionMatrix(**payload["confusion"]))
-        text = evaluation.render_report_text(report, paper_round=args.paper_rounding)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{args.input}: {exc}") from exc
+    text = _read(args.input, lambda path: evaluation.render_report_text(
+        _saved_report(path), paper_round=args.paper_rounding))
     sys.stdout.write(text)
     return 0
 

@@ -192,8 +192,8 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
 
 
 def write_manifest(entries: Iterable[ManifestEntry], path: str | Path) -> None:
-    Path(path).write_text(format_manifest(entries))
+    Path(path).write_text(format_manifest(entries), encoding="utf-8")
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    return parse_manifest(Path(path).read_text())
+    return parse_manifest(Path(path).read_text(encoding="utf-8"))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-LABELS = ("benign", "malignant")
+from .dataset import LABELS
+
 LOG_HEADER = ["case_id", "predicted", "confidence", "truth"]
 METRICS = ("accuracy", "sensitivity", "specificity", "precision", "f1")
 

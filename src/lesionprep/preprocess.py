@@ -31,7 +31,7 @@ ORIENTATIONS = (0, 45, 90, 135)
 _DIRECTIONS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HairMask:
     """Boolean per-pixel hair mask, same dimensions as its source image."""
 
@@ -56,6 +56,9 @@ class HairMask:
     def count(self) -> int:
         return int(self.bits.sum())
 
+    def __eq__(self, other):
+        return isinstance(other, HairMask) and np.array_equal(self.bits, other.bits)
+
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -66,7 +69,7 @@ class PreprocessConfig:
     hair_threshold: int = 10         # closing residue that counts as hair
     min_component_span: int = 15     # min bbox side of a kept component, px
     max_thinness: float = 0.5        # max area / bbox_area of a kept component
-    interp_margin: int = 2           # sampling offset beyond each hair run end
+    interp_margin: int = 2           # sampling offset beyond each hair run end, px; 0 acts as 1
     median_window: int = 5           # smoothing window, odd px
     hair_removal_enabled: bool = True
 
@@ -304,13 +307,14 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     """Replace each masked pixel by interpolating across its hair along the
     orientation where the masked run through it is shortest.
 
-    Endpoint samples sit interp_margin pixels beyond the run ends (walking
-    further if still masked). The orientation is picked per pixel: one with
-    samples on both sides wins over one with a single side, then the shorter
-    run wins, then the earlier of ORIENTATIONS. A pixel with two sides gets
-    the distance-weighted mean of both samples, one with a single side a copy
-    of it, and one with no side (every line through it is masked to the
-    border) is left unchanged. Unmasked pixels are returned untouched.
+    Endpoint samples sit interp_margin pixels beyond the run ends, but at
+    least 1 (a margin of 0 acts as 1), walking further if still masked. The
+    orientation is picked per pixel: one with samples on both sides wins over
+    one with a single side, then the shorter run wins, then the earlier of
+    ORIENTATIONS. A pixel with two sides gets the distance-weighted mean of
+    both samples, one with a single side a copy of it, and one with no side
+    (every line through it is masked to the border) is left unchanged.
+    Unmasked pixels are returned untouched.
 
     Only the masked pixels are visited. Along each orientation they are keyed
     by line and step and sorted, so that each masked run is a block of

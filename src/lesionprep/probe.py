@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .raster import Image, to_grayscale
 
 FEATURE_DIM = 55
-CLASSES = ("benign", "malignant")
 
 # Max per-axis Sobel response on 8-bit data is 4*255; the magnitude bound
 # normalizes the edge feature into [0, 1].
@@ -115,11 +113,9 @@ def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (benign, malignant) via a stable softmax."""
-    logits = model.weights @ np.asarray(features, dtype=np.float64) + model.bias
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    """Class probabilities (benign, malignant) of one feature vector, from the
+    softmax that training uses."""
+    return _batch_probs(model.weights, model.bias, np.asarray(features, dtype=np.float64)[None])[0]
 
 
 # These take the raw (weights, bias) arrays, so the training loop does not
@@ -214,10 +210,6 @@ def format_model(model: LinearProbeModel) -> str:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     lines.append(" ".join(f"{v:.17g}" for v in model.bias))
     return "\n".join(lines) + "\n"
-
-
-def save_model(model: LinearProbeModel, path: str | Path) -> None:
-    Path(path).write_text(format_model(model))
 
 
 CURVE_HEADER = "iter,train_acc,val_acc,train_xent,val_xent"

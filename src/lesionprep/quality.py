@@ -90,11 +90,11 @@ def _fmt(value: float) -> str:
 REPORT_HEADER = "id,psnr_db,mse,maxerr,l2rat,width,height"
 
 
-def format_quality_report(rows: Sequence[QualityRow], include_mean: bool = False) -> str:
+def format_quality_report(rows: Sequence[QualityRow]) -> str:
     """CSV rendering; 4 decimal places, round half even, psnr token 'inf'.
 
-    With include_mean a trailing 'mean' row summarizes the finite PSNRs and
-    the other metric columns.
+    A trailing 'mean' row, when there are rows, summarizes the finite PSNRs
+    and the other metric columns.
     """
     lines = [REPORT_HEADER]
     for r in rows:
@@ -102,7 +102,7 @@ def format_quality_report(rows: Sequence[QualityRow], include_mean: bool = False
             f"{r.image_id},{_fmt(r.psnr)},{_fmt(r.mse)},{r.maxerr},"
             f"{_fmt(r.l2rat)},{r.width},{r.height}"
         )
-    if include_mean and rows:
+    if rows:
         finite = [r.psnr for r in rows if not math.isinf(r.psnr)]
         mean_psnr = sum(finite) / len(finite) if finite else math.inf
         mean_mse = sum(r.mse for r in rows) / len(rows)

@@ -8,7 +8,7 @@ before the payload) and decode(encode(x)) == x for every valid raster.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,64 +24,54 @@ class NetpbmError(ValueError):
         self.offset = offset
 
 
+class _Raster:
+    """What Image and GrayImage share. A subclass is a frozen dataclass whose
+    one field holds a uint8 array of shape (height, width) + ``_PIXEL``, at
+    least 1x1; it is stored as a read-only copy."""
+
+    _PIXEL: tuple[int, ...]
+
+    def __post_init__(self):
+        (name,) = (f.name for f in fields(self))
+        a = np.asarray(getattr(self, name))
+        if a.ndim < 2 or a.shape[2:] != self._PIXEL or 0 in a.shape[:2]:
+            dims = ", ".join(["h", "w", *map(str, self._PIXEL)])
+            raise ValueError(f"expected ({dims}) array, got shape {a.shape}")
+        if a.dtype != np.uint8:
+            if a.min() < 0 or a.max() > 255:
+                raise ValueError("values must lie in [0, 255]")
+            a = a.astype(np.uint8)
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(self, name, a)
+        object.__setattr__(self, "_array", a)
+
+    @property
+    def width(self) -> int:
+        return self._array.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self._array.shape[0]
+
+    def __eq__(self, other):
+        return isinstance(other, _Raster) and np.array_equal(self._array, other._array)
+
+
 @dataclass(frozen=True, eq=False)
-class Image:
+class Image(_Raster):
     """RGB raster, 8 bits per channel. ``pixels`` has shape (height, width, 3)."""
 
     pixels: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels)
-        if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError(f"expected (h, w, 3) pixel array, got shape {p.shape}")
-        if p.dtype != np.uint8:
-            if p.min() < 0 or p.max() > 255:
-                raise ValueError("channel values must lie in [0, 255]")
-            p = p.astype(np.uint8)
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "pixels", p)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, Image) and np.array_equal(self.pixels, other.pixels)
+    _PIXEL = (3,)
 
 
 @dataclass(frozen=True, eq=False)
-class GrayImage:
+class GrayImage(_Raster):
     """Single-channel raster. ``values`` has shape (height, width), uint8."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"expected (h, w) value array, got shape {v.shape}")
-        if v.dtype != np.uint8:
-            if v.min() < 0 or v.max() > 255:
-                raise ValueError("values must lie in [0, 255]")
-            v = v.astype(np.uint8)
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, GrayImage) and np.array_equal(self.values, other.values)
+    _PIXEL = ()
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:

@@ -443,6 +443,27 @@ class TestEvalAndReport:
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("preprocess", ["--out-root", "out"]),
+    ("quality", ["--pre-root", "pre"]),
+    ("train-probe", ["--seed", 1, "--model-out", "model.txt", "--curve-out", "curve.csv"]),
+], ids=["preprocess", "quality", "train-probe"])
+@pytest.mark.parametrize("data, problem", [
+    (b"path,label,split\na.ppm,benign\n", "line 2: expected 3 fields"),
+    (b"path,label,split\na.ppm,ben\rign,train\n", "line 2: "),
+    (b"path,label,split\na.ppm,benign,tr\xffain\n", "'utf-8' codec"),
+], ids=["short-row", "bare-cr", "not-utf8"])
+def test_malformed_manifest_names_the_path(tmp_path, monkeypatch, capsys, caplog,
+                                           command, flags, data, problem):
+    monkeypatch.chdir(tmp_path)  # the relative output paths in `flags`
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(data)
+    with caplog.at_level(logging.ERROR, logger="lesionprep"):
+        assert run(command, "--manifest", manifest, "--images-root", tmp_path, *flags) == 2
+    assert caplog.records[-1].getMessage().startswith(f"{manifest}: {problem}")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_pipeline_end_to_end_on_synthetic(tmp_path):
     # full loop on one generated hairy image: preprocess improves PSNR
     sample = generate_sample(seed=5, size=96)

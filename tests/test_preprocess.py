@@ -725,3 +725,13 @@ def test_config_validation():
         PreprocessConfig(max_thinness=0.0)
     with pytest.raises(ValueError):
         PreprocessConfig(sharpen_sigma=-1.0)
+
+
+def test_hair_mask_equality_compares_bits():
+    bits = np.zeros((4, 5), bool)
+    bits[1, 2] = True
+    mask = HairMask(bits)
+    assert mask == HairMask(bits.copy())
+    assert mask != HairMask(np.zeros((4, 5), bool))
+    assert mask != HairMask(np.zeros((5, 4), bool))
+    assert mask != bits

@@ -230,5 +230,5 @@ class TestReport:
 
     def test_mean_row(self):
         a, b = gray([[10, 20]]), gray([[10, 14]])
-        text = format_quality_report(quality_report([("a", a, b)]), include_mean=True)
+        text = format_quality_report(quality_report([("a", a, b)]))
         assert text.splitlines()[-1].startswith("mean,")

@@ -147,6 +147,24 @@ def test_image_rejects_bad_shapes():
         GrayImage(np.zeros((0, 3), np.uint8))
 
 
+@pytest.mark.parametrize("cls, shape", [(Image, (2, 3, 3)), (GrayImage, (2, 3))])
+def test_image_and_gray_share_their_checks(cls, shape):
+    for bad in [(3,), shape[:2] + (4,), (0,) + shape[1:], shape + (1,)]:
+        with pytest.raises(ValueError, match="expected"):
+            cls(np.zeros(bad, np.uint8))
+    for value in (-1, 256):
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            cls(np.full(shape, value))
+    source = np.arange(np.prod(shape)).reshape(shape) * 9
+    image = cls(source)
+    array = image.pixels if cls is Image else image.values
+    assert array.dtype == np.uint8 and np.array_equal(array, source)
+    assert not array.flags.writeable and not np.shares_memory(array, source)
+    assert (image.width, image.height) == (3, 2)
+    assert image == cls(source.astype(np.uint8)) and image != cls(source // 2)
+    assert Image(np.zeros((2, 3, 3), np.uint8)) != GrayImage(np.zeros((2, 3), np.uint8))
+
+
 def test_pixels_are_immutable():
     img = Image(np.zeros((2, 2, 3), np.uint8))
     with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 manifest I/O.
 
 Expected directory layout: root/{train,test}/{benign,malignant}/<image files>.
+Each file's path under the root must be `str.isprintable()` text (no control
+characters, line breaks or undecodable bytes), or scanning refuses it by name.
 Manifests are CSV lines `path,label,split` sorted by path, so reruns with the
-same seed are byte-identical.
+same seed are byte-identical. `csv_records` reads manifests and prediction
+logs alike: strict UTF-8 with an optional BOM, quoted newlines kept as written.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def _shuffle(items: list, rng: Xoshiro256StarStar) -> None:
 
 def scan_dataset(root: str | Path) -> list[ManifestEntry]:
     """One entry per image file under root/{train,test}/{benign,malignant},
-    in lexicographic path order. Paths are stored relative to root."""
+    in lexicographic path order. Paths are stored relative to root and must
+    be printable text, so that every manifest row reads back as written."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
@@ -110,13 +114,10 @@ def scan_dataset(root: str | Path) -> list[ManifestEntry]:
                 raise ValueError(f"unknown class directory {class_dir}")
             for f in sorted(class_dir.rglob("*")):
                 if f.is_file() and not f.name.startswith("."):
-                    entries.append(
-                        ManifestEntry(
-                            path=f.relative_to(root).as_posix(),
-                            label=class_dir.name,
-                            split=top.name,
-                        )
-                    )
+                    path = f.relative_to(root).as_posix()
+                    if not path.isprintable():
+                        raise ValueError(f"file name {path!r} under {root} is not printable text")
+                    entries.append(ManifestEntry(path, class_dir.name, top.name))
     if not entries:
         raise ValueError(f"no images found under {root}")
     entries.sort(key=lambda e: e.path)
@@ -163,24 +164,37 @@ def format_manifest(entries: Iterable[ManifestEntry]) -> str:
     return buf.getvalue()
 
 
-def parse_manifest(text: str) -> list[ManifestEntry]:
-    reader = csv.reader(io.StringIO(text))
+def csv_records(data: bytes | str, header: list[str], strip: bool = False) -> list[tuple[int, list[str]]]:
+    """The `(line, fields)` records after the `header` row of CSV `data`.
+
+    Bytes are strict UTF-8 after an optional BOM; quoted CR and LF are kept.
+    `strip` trims every field, the header's too. Blank rows are skipped. Each
+    fault is a ValueError naming the physical line where its record ends."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"not UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(data))
     try:
         # a quoted field may hold newlines, so a record ends on line_num
-        rows = [(reader.line_num, row) for row in reader]
+        rows = [(reader.line_num, [f.strip() for f in row] if strip else row) for row in reader]
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    header = rows[0][1] if rows else None
-    if header != MANIFEST_HEADER:
-        raise ValueError(f"bad manifest header {header!r}")
+    found = rows[0][1] if rows else None
+    if found != header:
+        raise ValueError(f"bad header {found!r}, expected {header}")
+    records = [(lineno, row) for lineno, row in rows[1:] if row]
+    for lineno, row in records:
+        if len(row) != len(header):
+            raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+    return records
+
+
+def parse_manifest(data: bytes | str) -> list[ManifestEntry]:
     entries = []
     seen = set()
-    for lineno, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        path, label, split = row
+    for lineno, (path, label, split) in csv_records(data, MANIFEST_HEADER):
         if path in seen:
             raise ValueError(f"line {lineno}: duplicate path {path!r}")
         seen.add(path)
@@ -196,4 +210,4 @@ def write_manifest(entries: Iterable[ManifestEntry], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    return parse_manifest(Path(path).read_bytes())

@@ -12,14 +12,12 @@ half to even, or to the published table's whole percentages (see
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dataset import LABELS
+from .dataset import LABELS, csv_records
 
 LOG_HEADER = ["case_id", "predicted", "confidence", "truth"]
 METRICS = ("accuracy", "sensitivity", "specificity", "precision", "f1")
@@ -97,7 +95,6 @@ class PredictionLogError(ValueError):
 
 
 def _parse_confidence(token: str, lineno: int) -> float:
-    token = token.strip()
     try:
         if token.endswith("%"):
             value = float(token[:-1].strip()) / 100.0
@@ -113,31 +110,17 @@ def _parse_confidence(token: str, lineno: int) -> float:
 def parse_prediction_log(data: bytes | str) -> list[PredictionRecord]:
     """Parse a `case_id,predicted,confidence,truth` CSV log.
 
-    Confidence accepts a decimal fraction ("0.978") or a percent token
-    ("97.8%"). Errors name the offending line; duplicate case_ids name both
-    lines involved.
+    Whitespace around every field is ignored. Confidence accepts a decimal
+    fraction ("0.978") or a percent token ("97.8%"). Errors name the offending
+    line; duplicate case_ids name both lines involved.
     """
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise PredictionLogError(f"not UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        # a quoted field may hold newlines, so a record ends on line_num
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise PredictionLogError(f"line {reader.line_num}: {exc}") from None
-    header = rows[0][1] if rows else None
-    if header is None or [h.strip() for h in header] != LOG_HEADER:
-        raise PredictionLogError(f"bad header {header!r}, expected {LOG_HEADER}")
+        rows = csv_records(data, LOG_HEADER, strip=True)
+    except ValueError as exc:
+        raise PredictionLogError(str(exc)) from None
     records = []
     seen: dict[str, int] = {}
-    for lineno, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 4:
-            raise PredictionLogError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        case_id, predicted, confidence, truth = (f.strip() for f in row)
+    for lineno, (case_id, predicted, confidence, truth) in rows:
         if predicted not in LABELS:
             raise PredictionLogError(f"line {lineno}: unknown label {predicted!r}")
         if truth not in LABELS:

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import math
+import os
 import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -126,6 +127,37 @@ class TestSplit:
         with pytest.raises(SystemExit) as exc:
             run("split", "--root", dataset_root, "--out", tmp_path / "m.csv")
         assert exc.value.code == 1
+
+    def test_unprintable_name_stops_the_chain_at_split(self, dataset_root, tmp_path, caplog):
+        write_image(dataset_root / "train" / "benign" / "odd\rname.ppm", seed=9, bright=True)
+        manifest = tmp_path / "m.csv"
+        chain = [
+            ("split", "--root", dataset_root, "--seed", 1, "--out", manifest),
+            ("preprocess", "--manifest", manifest, "--images-root", dataset_root,
+             "--out-root", tmp_path / "pre"),
+        ]
+        codes = []
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            for argv in chain:  # as `split && preprocess`
+                codes.append(run(*argv))
+                if codes[-1]:
+                    break
+        assert codes == [2]
+        assert repr("train/benign/odd\rname.ppm") in caplog.records[-1].getMessage()
+        assert not manifest.exists()
+
+    def test_non_utf8_name_leaves_out_unchanged(self, dataset_root, tmp_path, caplog):
+        name = os.fsdecode(b"\xffbad.ppm")
+        try:
+            write_image(dataset_root / "train" / "benign" / name, seed=9, bright=True)
+        except (OSError, UnicodeEncodeError) as exc:
+            pytest.skip(f"this file system refuses the name b'\\xffbad.ppm': {exc}")
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"old")
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 2
+        assert repr(f"train/benign/{name}") in caplog.records[-1].getMessage()
+        assert manifest.read_bytes() == b"old"
 
 
 class TestPreprocess:
@@ -451,7 +483,7 @@ class TestEvalAndReport:
 @pytest.mark.parametrize("data, problem", [
     (b"path,label,split\na.ppm,benign\n", "line 2: expected 3 fields"),
     (b"path,label,split\na.ppm,ben\rign,train\n", "line 2: "),
-    (b"path,label,split\na.ppm,benign,tr\xffain\n", "'utf-8' codec"),
+    (b"path,label,split\na.ppm,benign,tr\xffain\n", "not UTF-8: 'utf-8' codec"),
 ], ids=["short-row", "bare-cr", "not-utf8"])
 def test_malformed_manifest_names_the_path(tmp_path, monkeypatch, capsys, caplog,
                                            command, flags, data, problem):

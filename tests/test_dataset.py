@@ -1,15 +1,22 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lesionprep.dataset import (
+    LABELS,
+    SPLITS,
     ManifestEntry,
     SplitConfig,
     Xoshiro256StarStar,
     format_manifest,
     parse_manifest,
+    read_manifest,
     scan_dataset,
     split_train_val,
+    write_manifest,
 )
 
 # a carriage return inside an unquoted field, which the csv module rejects
@@ -18,6 +25,13 @@ MANIFEST_TOKENS = st.sampled_from([
     "a.ppm", "benign", "malignant", "train", "val", "test", "x",
     ",", " ", "\n", "\r", "\r\n", '"', "\x00",
 ])
+# every path `scan_dataset` accepts: printable text, the csv specials included
+PRINTABLE_PATHS = st.text(st.characters(exclude_categories=("C", "Z")) | st.sampled_from(' ",'))
+ENTRIES = st.lists(
+    st.builds(ManifestEntry, PRINTABLE_PATHS, st.sampled_from(LABELS), st.sampled_from(SPLITS)),
+    unique_by=lambda e: e.path,
+)
+BOM = b"\xef\xbb\xbf"
 
 
 def make_tree(root, layout):
@@ -60,6 +74,14 @@ class TestScan:
         (tmp_path / "train" / "benign").mkdir(parents=True)
         with pytest.raises(ValueError, match="no images"):
             scan_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["odd\rname.ppm", "line\nbreak.ppm", "tab\there.ppm", "del\x7f.ppm"])
+    def test_refuses_unprintable_name(self, tmp_path, name):
+        make_tree(tmp_path, {("train", "benign"): 1})
+        (tmp_path / "train" / "benign" / name).write_bytes(b"")
+        with pytest.raises(ValueError) as exc:
+            scan_dataset(tmp_path)
+        assert repr(f"train/benign/{name}") in str(exc.value)
 
 
 class TestSplit:
@@ -154,6 +176,40 @@ class TestManifestIO:
             parse_manifest(text)
         except ValueError:
             pass
+
+    @given(st.one_of(
+        st.binary(),
+        st.lists(MANIFEST_TOKENS).map(lambda t: ("path,label,split\n" + "".join(t)).encode()),
+    ))
+    @example(BOM + BARE_CR_MANIFEST.encode())
+    @example(b"path,label,split\na.ppm,benign,tr\xffain\n")
+    def test_arbitrary_bytes_raise_only_value_error(self, data):
+        try:
+            parse_manifest(data)
+        except ValueError:
+            pass
+
+    @given(ENTRIES)
+    @example([ManifestEntry(p, "benign", "train") for p in ['a "b", c.ppm', ' lead.ppm', '"q', "é/ü ß.ppm", ""]])
+    def test_write_then_read_gives_the_sorted_entries(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            write_manifest(entries, path)
+            assert read_manifest(path) == sorted(entries, key=lambda e: e.path)
+
+    def test_quoted_line_breaks_read_back_verbatim(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b'path,label,split\n"a\r\nb.ppm",benign,train\n"c\rd.ppm",malignant,val\n')
+        assert read_manifest(path) == [
+            ManifestEntry("a\r\nb.ppm", "benign", "train"),
+            ManifestEntry("c\rd.ppm", "malignant", "val"),
+        ]
+
+    def test_leading_bom_is_accepted(self, tmp_path):
+        entries = entries_of("benign", 2)
+        path = tmp_path / "m.csv"
+        path.write_bytes(BOM + format_manifest(entries).encode())
+        assert read_manifest(path) == entries
 
 
 class TestRng:

@@ -85,6 +85,10 @@ class TestParse:
         with pytest.raises(PredictionLogError, match="not UTF-8"):
             parse_prediction_log(b"case_id,predicted,confidence,truth\n1,benign,0.9,\xffbenign\n")
 
+    def test_leading_bom_is_accepted(self):
+        recs = parse_prediction_log(b"\xef\xbb\xbfcase_id,predicted,confidence,truth\n1,benign,0.9,benign\n")
+        assert recs == [PredictionRecord("1", "benign", 0.9, "benign")]
+
     @given(st.one_of(
         st.binary(), st.text(), st.lists(LOG_TOKENS).map("".join),
         st.lists(LOG_TOKENS).map(lambda t: ",".join(LOG_HEADER) + "\n" + "".join(t)),

@@ -56,11 +56,12 @@ def _read(path, parse):
 
 
 def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
+    """Write ``text`` as UTF-8 to ``path`` atomically, or to stdout when
+    ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_atomic(Path(path), text.encode("utf-8"))
 
 
 def _load_image(path: Path):

@@ -2,6 +2,9 @@
 manifest I/O.
 
 Expected directory layout: root/{train,test}/{benign,malignant}/<image files>.
+Scanning refuses, by name, any other directory at the top and any file
+directly under train/ or test/; it ignores files at the top, hidden files and
+hidden top-level directories.
 Each file's path under the root must be `str.isprintable()` text (no control
 characters, line breaks or undecodable bytes), or scanning refuses it by name.
 Manifests are CSV lines `path,label,split` sorted by path, so reruns with the
@@ -101,15 +104,27 @@ def _shuffle(items: list, rng: Xoshiro256StarStar) -> None:
 def scan_dataset(root: str | Path) -> list[ManifestEntry]:
     """One entry per image file under root/{train,test}/{benign,malignant},
     in lexicographic path order. Paths are stored relative to root and must
-    be printable text, so that every manifest row reads back as written."""
+    be printable text, so that every manifest row reads back as written.
+    Any other top-level directory, and any file directly under train/ or
+    test/, is refused by name rather than left out; files at the top, hidden
+    files and hidden top-level directories are ignored."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
+
+    def refuse(path: Path, what: str):
+        return ValueError(f"{path.relative_to(root).as_posix()!r} under {root} is {what}; "
+                          f"images go in {{{','.join(_TOP_DIRS)}}}/{{{','.join(LABELS)}}}/")
+
     entries = []
-    for top in sorted(p for p in root.iterdir() if p.is_dir()):
+    for top in sorted(p for p in root.iterdir() if p.is_dir() and not p.name.startswith(".")):
         if top.name not in _TOP_DIRS:
-            continue
-        for class_dir in sorted(p for p in top.iterdir() if p.is_dir()):
+            raise refuse(top, "not a split directory")
+        for class_dir in sorted(top.iterdir()):
+            if not class_dir.is_dir():
+                if not class_dir.name.startswith("."):
+                    raise refuse(class_dir, "outside a class directory")
+                continue
             if class_dir.name not in LABELS:
                 raise ValueError(f"unknown class directory {class_dir}")
             for f in sorted(class_dir.rglob("*")):
@@ -155,13 +170,17 @@ def split_train_val(entries: Sequence[ManifestEntry], config: SplitConfig) -> li
 MANIFEST_HEADER = ["path", "label", "split"]
 
 
-def format_manifest(entries: Iterable[ManifestEntry]) -> str:
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """``rows`` as CSV text with LF line ends, each field quoted where CSV
+    needs it, so that `csv_records` reads every field back as written."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
-    for e in sorted(entries, key=lambda x: x.path):
-        writer.writerow([e.path, e.label, e.split])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def format_manifest(entries: Iterable[ManifestEntry]) -> str:
+    rows = [[e.path, e.label, e.split] for e in sorted(entries, key=lambda x: x.path)]
+    return csv_text([MANIFEST_HEADER] + rows)
 
 
 def csv_records(data: bytes | str, header: list[str], strip: bool = False) -> list[tuple[int, list[str]]]:

@@ -3,21 +3,20 @@ hair removal (detect via oriented grayscale closings, inpaint along the short
 axis of each hair, median-smooth the replaced region).
 
 All stages are pure functions on immutable rasters; every parameter lives in
-PreprocessConfig so stages can be re-run or ablated deterministically. Every
-stage works on whole arrays of numpy alone: the blur and the sharpen treat
-all three channels in one pass, detection closes the three channel planes at
-once, cleaning labels 8-connected components with a union-find over all mask
-edges at once, inpainting sorts the masked pixels by line and step along
-each orientation and finds the samples beyond each masked run by binary
-search, and smoothing sorts the windows of all masked pixels in one call.
-Sharpening and inpainting allocate in proportion to their work: two padded
-float64 frames for the blur, and arrays the size of the mask for inpainting.
+PreprocessConfig so stages can be re-run or ablated deterministically. Each
+stage is whole-array numpy: sharpening blurs cache-sized blocks of rows in
+three float64 buffers and looks each output up in a table; detection closes
+all channel planes with doubling windows; cleaning labels 8-connected
+components by a union-find over all mask edges; inpainting sorts the masked
+pixels along each orientation in arrays the size of the mask and searches
+past each run by bisection; smoothing sorts all masked windows in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,125 +96,128 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-_CHUNK = 1 << 15  # float64 elements per block of the blur's sums; a few fit in L2
+_BLOCK_FLOATS = 15_000  # float64 elements per buffer of a row block; below glibc's 128 KiB mmap threshold
+_MIN_BLOCK_ROWS = 8  # bounds the share of halo rows on wide images
 
 
-def _correlate_flat(x: np.ndarray, k: np.ndarray, step: int, out: np.ndarray) -> None:
-    """Set ``out[p]`` to the correlation of the symmetric kernel ``k`` with
-    the flat array ``x`` around ``x[p + r * step]``, taking taps ``step``
-    elements apart, where r = len(k) // 2.
-
-    The taps are summed as scipy.ndimage.correlate1d sums a symmetric kernel,
-    centre first, then each mirrored pair from the outermost in, so the
-    result equals it bit for bit. The sums run block by block, so that their
-    operands stay in cache.
-    """
-    r = len(k) // 2
-    pair = np.empty(min(_CHUNK, len(out)))
-    for start in range(0, len(out), _CHUNK):
-        acc = out[start:start + _CHUNK]
-        tmp = pair[:len(acc)]
-
-        def tap(i: int) -> np.ndarray:
-            return x[start + i * step:start + i * step + len(acc)]
-
-        np.multiply(tap(r), k[r], out=acc)
-        for j in range(r, 0, -1):
-            np.add(tap(r - j), tap(r + j), out=tmp)
-            tmp *= k[r - j]
-            acc += tmp
+def _correlate_flat(x: np.ndarray, k: np.ndarray, step: int, out: np.ndarray, pair: np.ndarray) -> None:
+    """Set ``out[p]`` to the symmetric kernel ``k`` correlated with the flat
+    ``x`` around ``x[p + r * step]``, r = len(k) // 2, taps ``step`` apart,
+    with ``pair`` as work space. Taps add as scipy.ndimage.correlate1d adds them,
+    centre first, then mirrored pairs from the outermost in: bit for bit."""
+    r, n = len(k) // 2, len(out)
+    tmp = pair[:n]
+    np.multiply(x[r * step:r * step + n], k[r], out=out)
+    for j in range(r, 0, -1):
+        np.add(x[(r - j) * step:(r - j) * step + n], x[(r + j) * step:(r + j) * step + n], out=tmp)
+        tmp *= k[r - j]
+        out += tmp
 
 
-def _blur_float(values: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian over the first two axes (rows, then columns),
-    replicate borders; any trailing axes are filtered independently.
-
-    Both passes run over the edge-padded image as one flat float64 array, in
-    which a step along a row is ``col`` elements and a step down a column
-    ``row`` elements. Sums that wrap past a row end land in padding columns,
-    which the result leaves out. The column pass writes into the front of the
-    padded array, which only the row pass reads, so the result is a view of
-    that buffer and the blur holds two padded float64 frames at most.
-    """
+def _blur_blocks(values: np.ndarray, sigma: float):
+    """Yield ``(y, blur)`` per block of rows: ``blur``, a view that the next
+    block overwrites, is the float64 separable Gaussian (rows, then columns,
+    replicate borders; trailing axes apart) of ``values[y:y + len(blur)]``.
+    In a flat block of padded rows a step along a row is ``col`` elements
+    and a step down a column ``row``; sums that wrap past a row end land in
+    padding columns. The row pass of the 2r halo rows carries over to the
+    next block; the column pass writes into the block, which it no longer
+    needs. The three buffers are allocated once per call."""
     k = _gaussian_kernel(sigma)
     r = len(k) // 2
     h, w = values.shape[:2]
     edge = ((r, r), (r, r)) + ((0, 0),) * (values.ndim - 2)
-    padded = np.pad(values, edge, mode="edge").astype(np.float64).ravel()
+    padded = np.pad(values, edge, mode="edge").reshape(-1)
     col = math.prod(values.shape[2:])
     row = (w + 2 * r) * col
-    rows = np.empty_like(padded)
-    # the row pass covers all but the last 2r pixels, which only padding
-    # columns of the column pass read
-    covered = len(rows) - 2 * r * col
-    rows[covered:] = 0
-    _correlate_flat(padded, k, col, rows[:covered])
-    out = padded[:h * row].reshape((h, w + 2 * r) + values.shape[2:])
-    _correlate_flat(rows, k, row, out.reshape(-1))
-    return out[:, :w]
+    n = min(h, max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // row - 2 * r))
+    block, rows, pair = (np.empty((n + 2 * r) * row) for _ in range(3))
+    for y in range(0, h, n):
+        m = min(n, h - y)
+        keep = 2 * r * row if y else 0
+        rows[:keep] = rows[n * row:n * row + keep]
+        need = (m + 2 * r) * row
+        x = block[:need - keep]
+        x[:] = padded[y * row + keep:y * row + need]
+        # the row pass skips the last 2r pixels, which only padding columns read
+        covered = keep + len(x) - 2 * r * col
+        rows[covered:need] = 0
+        _correlate_flat(x, k, col, rows[keep:covered], pair)
+        _correlate_flat(rows, k, row, out := block[:m * row], pair)
+        yield y, out.reshape((m, w + 2 * r) + values.shape[2:])[:, :w]
+
+
+@functools.lru_cache(maxsize=8)
+def _sharpen_table(amount: float, threshold: float) -> np.ndarray:
+    """The output for a source value and its blur rounded to 8 bits, at
+    ``blur * 256 + source``: ``floor(detail * amount + source + 0.5)`` in
+    float64, clipped to [0, 255], where |detail| = |source - blur| exceeds
+    the threshold, else the source value."""
+    src = np.tile(np.arange(256.0), 256)
+    detail = src - np.repeat(np.arange(256.0), 256)
+    boosted = np.clip(np.floor(detail * amount + src + 0.5), 0, 255)
+    table = np.where(np.abs(detail) > threshold, boosted, src).astype(np.uint8)
+    table.setflags(write=False)
+    return table
 
 
 def unsharp_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) -> Image:
     """Sharpen: out = in + amount * (in - blur(in)), where the detail signal
     exceeds the threshold; per channel, clamped to [0, 255]. An amount of 0
-    returns the image without blurring it.
-
-    After the blur, every step runs in place on the blur's float64 buffer,
-    and the output doubles as the scratch space of |detail|. Each value is
-    evaluated as ``src + amount * detail + 0.5`` in float64 from integer
-    ``src`` and ``detail``, as a whole-array evaluation would.
+    returns the image without blurring it. Block by block, the blur is
+    rounded to 8 bits and each output value looked up in ``_sharpen_table``.
     """
     if config.sharpen_amount == 0:
         return image
     src = image.pixels
-    buf = _blur_float(src, config.sharpen_sigma)
-    buf += 0.5
-    np.floor(buf, out=buf)
-    np.clip(buf, 0, 255, out=buf)  # the blur rounded to 8 bits
-    np.subtract(src, buf, out=buf)  # the detail, an integer in [-255, 255]
+    table = _sharpen_table(config.sharpen_amount, config.sharpen_threshold)
     out = np.empty_like(src)
-    np.abs(buf, out=out, casting="unsafe")
-    apply = out > config.sharpen_threshold
-    buf *= config.sharpen_amount
-    buf += src
-    buf += 0.5
-    np.floor(buf, out=buf)
-    np.clip(buf, 0, 255, out=buf)
-    np.copyto(out, src)
-    np.copyto(out, buf, casting="unsafe", where=apply)
+    for y, blur in _blur_blocks(src, config.sharpen_sigma):
+        if y == 0:  # the first block is the tallest
+            key = np.empty(blur.shape, dtype=np.intp)
+        rows, k = slice(y, y + len(blur)), key[:len(blur)]
+        # a weighted mean of values in [0, 255] rounds into [0, 255], and
+        # truncating the positive blur + 0.5 floors it
+        blur += 0.5
+        np.copyto(k, blur, casting="unsafe")
+        k <<= 8
+        k += src[rows]
+        np.take(table, k, out=out[rows], mode="clip")
     return Image(out)
 
 
-def _line_offsets(length: int, orientation: int) -> list[tuple[int, int]]:
+def _close(values: np.ndarray, length: int, orientation: int) -> np.ndarray:
+    """Flat grayscale closing over the last two axes with a line SE of odd
+    ``length`` at ``orientation``, clipped at borders: dilation (max), then
+    erosion (min). Each pads with its identity (0, 255), as if skipping
+    out-of-image SE elements, and on the flat array, where a step along the
+    line is a fixed number of elements, doubles its windows' span (van
+    Herk-style) until a last shift brings it to ``length``. A pass is one
+    ufunc call from one buffer into the other, on a shrinking view; numpy
+    runs an in-place call with overlapping operands without SIMD."""
     if length < 3 or length % 2 == 0:
         raise ValueError("SE length must be odd and >= 3")
-    if orientation not in _DIRECTIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    dy, dx = _DIRECTIONS[orientation]
     half = length // 2
-    return [(d * dy, d * dx) for d in range(-half, half + 1)]
-
-
-def _overlap(d: int, n: int) -> slice:
-    """Indices i of an n-long axis whose neighbour i + d is also inside it."""
-    return slice(max(-d, 0), n - max(d, 0))
-
-
-def _close(values: np.ndarray, offsets) -> np.ndarray:
-    """Flat grayscale closing over the last two axes: dilation (max), then
-    erosion (min), with the SE clipped at borders.
-
-    Out-of-image SE elements are skipped. Every SE holds the (0, 0) offset, so
-    each reduction can start from its own input.
-    """
     h, w = values.shape[-2:]
-    inside = [(dy, dx) for dy, dx in offsets if abs(dy) < h and abs(dx) < w]
+    dy, dx = _DIRECTIONS[orientation]
+    if dy < 0:  # the same line, walked the other way
+        dy, dx = -dy, -dx
+    step = dy * (w + 2 * half) + dx
+    y0, x0 = half - half * dy, half - half * dx  # where a pixel's window starts
+    shape = values.shape[:-2] + (h + 2 * half, w + 2 * half)
+    src, dst = (np.empty(math.prod(shape), np.uint8) for _ in range(2))
     out = values
-    for reduce in (np.maximum, np.minimum):
-        src, out = out, out.copy()
-        for dy, dx in inside:
-            dst = out[..., _overlap(dy, h), _overlap(dx, w)]
-            reduce(dst, src[..., _overlap(-dy, h), _overlap(-dx, w)], out=dst)
+    for reduce, identity in ((np.maximum, 0), (np.minimum, 255)):
+        dst.fill(identity)
+        dst.reshape(shape)[..., half:half + h, half:half + w] = out
+        src, dst = dst, src
+        n, span = len(src), 1
+        while span < length:
+            shift = min(span, length - span)
+            n -= shift * step
+            reduce(src[:n], src[shift * step:shift * step + n], out=dst[:n])
+            src, dst, span = dst, src, span + shift
+        out = src.reshape(shape)[..., y0:y0 + h, x0:x0 + w]
     return out
 
 
@@ -224,12 +226,13 @@ def detect_hair_mask(image: Image, config: PreprocessConfig = PreprocessConfig()
     color channel at any orientation. Closings fill dark structures thinner
     than the SE, so the residue lights up exactly on hair-like strokes."""
     planes = np.ascontiguousarray(np.moveaxis(image.pixels, -1, 0))  # (3, h, w)
-    mask = np.zeros(planes.shape[1:], dtype=bool)
+    closed = planes.copy()
     for orientation in ORIENTATIONS:
-        closed = _close(planes, _line_offsets(config.se_length, orientation))
-        # a closing never darkens a pixel, so the uint8 residue cannot wrap
-        mask |= ((closed - planes) > config.hair_threshold).any(axis=0)
-    return HairMask(mask)
+        np.maximum(closed, _close(planes, config.se_length, orientation), out=closed)
+    # a closing never darkens a pixel, so the residue cannot wrap, and that of
+    # the largest closing exceeds the threshold where that of any closing does
+    closed -= planes
+    return HairMask(closed.max(axis=0) > config.hair_threshold)
 
 
 # the half of the 8-neighbourhood that comes later in raster order
@@ -297,10 +300,7 @@ def clean_mask(mask: HairMask, config: PreprocessConfig = PreprocessConfig()) ->
 
 def _check_shape(image: Image, mask: HairMask) -> None:
     if (mask.height, mask.width) != (image.height, image.width):
-        raise ValueError(
-            f"mask {mask.width}x{mask.height} does not match image "
-            f"{image.width}x{image.height}"
-        )
+        raise ValueError(f"mask {mask.width}x{mask.height} does not match image {image.width}x{image.height}")
 
 
 def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> Image:

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import csv_text
 from .raster import GrayImage, Image
 
 PEAK_SQUARED = 255.0 * 255.0
@@ -87,29 +88,24 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-REPORT_HEADER = "id,psnr_db,mse,maxerr,l2rat,width,height"
+REPORT_HEADER = ("id", "psnr_db", "mse", "maxerr", "l2rat", "width", "height")
 
 
 def format_quality_report(rows: Sequence[QualityRow]) -> str:
     """CSV rendering; 4 decimal places, round half even, psnr token 'inf'.
+    Ids are quoted as CSV needs, so any path reads back as one field.
 
     A trailing 'mean' row, when there are rows, summarizes the finite PSNRs
     and the other metric columns.
     """
-    lines = [REPORT_HEADER]
+    records = [REPORT_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.image_id},{_fmt(r.psnr)},{_fmt(r.mse)},{r.maxerr},"
-            f"{_fmt(r.l2rat)},{r.width},{r.height}"
-        )
+        records.append([r.image_id, _fmt(r.psnr), _fmt(r.mse), r.maxerr, _fmt(r.l2rat), r.width, r.height])
     if rows:
         finite = [r.psnr for r in rows if not math.isinf(r.psnr)]
         mean_psnr = sum(finite) / len(finite) if finite else math.inf
         mean_mse = sum(r.mse for r in rows) / len(rows)
         mean_maxerr = sum(r.maxerr for r in rows) / len(rows)
         mean_l2rat = sum(r.l2rat for r in rows) / len(rows)
-        lines.append(
-            f"mean,{_fmt(mean_psnr)},{_fmt(mean_mse)},{_fmt(mean_maxerr)},"
-            f"{_fmt(mean_l2rat)},,"
-        )
-    return "\n".join(lines) + "\n"
+        records.append(["mean", _fmt(mean_psnr), _fmt(mean_mse), _fmt(mean_maxerr), _fmt(mean_l2rat), "", ""])
+    return csv_text(records)

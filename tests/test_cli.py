@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -160,6 +161,18 @@ class TestSplit:
         assert manifest.read_bytes() == b"old"
 
 
+    @pytest.mark.parametrize("stray, named", [("train/stray.ppm", "train/stray.ppm"),
+                                              ("Test/malignant/t.ppm", "Test")])
+    def test_image_outside_the_layout_is_data_error(self, dataset_root, tmp_path, caplog,
+                                                     stray, named):
+        write_image(dataset_root / stray, seed=9, bright=True)
+        manifest = tmp_path / "m.csv"
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 2
+        assert repr(named) in caplog.records[-1].getMessage()
+        assert not manifest.exists()
+
+
 class TestPreprocess:
     def test_outputs_and_determinism(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -283,6 +296,20 @@ class TestQuality:
         assert len(lines) == 16  # header + 14 rows + mean
         assert lines[-1].startswith("mean,")
 
+    def test_ids_with_csv_specials_read_back_as_one_field(self, dataset_root, tmp_path):
+        write_image(dataset_root / "train" / "benign" / 'a,"b".ppm', seed=9, bright=True)
+        manifest, pre_root, out = tmp_path / "m.csv", tmp_path / "pre", tmp_path / "q.csv"
+        assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 0
+        assert run("preprocess", "--manifest", manifest, "--images-root", dataset_root,
+                   "--out-root", pre_root) == 0
+        assert run("quality", "--manifest", manifest, "--images-root", dataset_root,
+                   "--pre-root", pre_root, "--out", out) == 0
+        with out.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 17  # header + 15 images + mean
+        assert [len(row) for row in rows] == [7] * 17
+        assert 'train/benign/a,"b".ppm' in [row[0] for row in rows]
+
     def test_missing_counterpart_is_data_error(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\ntrain/benign/b0.ppm,benign,train\n")
@@ -338,6 +365,26 @@ class TestTrainProbe:
                 "--model-out", model_out, "--curve-out", curve_out)
             outs.append((model_out.read_bytes(), curve_out.read_bytes()))
         assert outs[0] == outs[1]
+
+
+    def test_failed_write_keeps_the_old_model(self, dataset_root, tmp_path, monkeypatch):
+        manifest = tmp_path / "m.csv"
+        run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
+        model_out = tmp_path / "model.txt"
+        model_out.write_text("old model\n")
+        real_write_bytes = Path.write_bytes
+
+        def write_half_then_fail(path, data):
+            real_write_bytes(path, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
+                   "--iterations", 20, "--eval-interval", 10, "--seed", 5,
+                   "--model-out", model_out, "--curve-out", tmp_path / "curve.csv") == 2
+        monkeypatch.undo()
+        assert model_out.read_text() == "old model\n"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["m.csv", "model.txt"]
 
 
 class TestConfigFlags:

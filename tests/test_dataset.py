@@ -75,6 +75,27 @@ class TestScan:
         with pytest.raises(ValueError, match="no images"):
             scan_dataset(tmp_path)
 
+    @pytest.mark.parametrize("stray, named", [
+        ("train/stray.ppm", "train/stray.ppm"),
+        ("Test/malignant/t.ppm", "Test"),
+        ("extra/x.ppm", "extra"),
+    ])
+    def test_refuses_an_image_outside_the_layout(self, tmp_path, stray, named):
+        make_tree(tmp_path, {("train", "benign"): 1})
+        path = tmp_path / stray
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"P6 1 1 255\n\x00\x00\x00")
+        with pytest.raises(ValueError) as exc:
+            scan_dataset(tmp_path)
+        assert repr(named) in str(exc.value)
+
+    def test_ignores_hidden_entries_and_files_at_the_top(self, tmp_path):
+        make_tree(tmp_path, {("train", "benign"): 1})
+        for rel in (".git/config", "train/.DS_Store", "train/benign/.thumb.ppm", "manifest.csv"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_bytes(b"")
+        assert [e.path for e in scan_dataset(tmp_path)] == ["train/benign/img0000.ppm"]
+
     @pytest.mark.parametrize("name", ["odd\rname.ppm", "line\nbreak.ppm", "tab\there.ppm", "del\x7f.ppm"])
     def test_refuses_unprintable_name(self, tmp_path, name):
         make_tree(tmp_path, {("train", "benign"): 1})

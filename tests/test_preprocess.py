@@ -14,10 +14,10 @@ from lesionprep.preprocess import (
     ORIENTATIONS,
     HairMask,
     PreprocessConfig,
-    _blur_float,
+    _blur_blocks,
     _close,
     _gaussian_kernel,
-    _line_offsets,
+    _sharpen_table,
     clean_mask,
     detect_hair_mask,
     inpaint_hair,
@@ -42,7 +42,7 @@ def morph_close_line(image: GrayImage, length: int, orientation: int) -> GrayIma
     """Grayscale closing (dilate then erode) with a line SE at the given
     orientation, as detection runs it on each plane; the SE is clipped to
     the image at borders."""
-    return GrayImage(_close(image.values, _line_offsets(length, orientation)))
+    return GrayImage(_close(image.values, length, orientation))
 
 
 def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -96,6 +96,19 @@ def closing_oracle(values: np.ndarray, length: int, orientation: int) -> np.ndar
 
     dilated = sweep(values, max, 0)
     return sweep(dilated, min, 255)
+
+
+def closing_ndimage_oracle(values: np.ndarray, length: int, orientation: int) -> np.ndarray:
+    """The closing as scipy.ndimage computes it: grey dilation, then grey
+    erosion, with a line footprint; out-of-image cells hold each one's
+    identity, so the SE is clipped at borders."""
+    dy, dx = _DIRS[orientation]
+    half = length // 2
+    footprint = np.zeros((2 * half * abs(dy) + 1, 2 * half * abs(dx) + 1), bool)
+    for d in range(-half, half + 1):
+        footprint[half * abs(dy) + d * dy, half * abs(dx) + d * dx] = True
+    dilated = ndimage.grey_dilation(values, footprint=footprint, mode="constant", cval=0)
+    return ndimage.grey_erosion(dilated, footprint=footprint, mode="constant", cval=255)
 
 
 def detect_oracle(pixels: np.ndarray, config: PreprocessConfig) -> np.ndarray:
@@ -287,9 +300,20 @@ def traced_peak(fn) -> int:
 
 # ---------------------------------------------------------------- gaussian
 
+def blur_float(values: np.ndarray, sigma: float) -> np.ndarray:
+    """The float64 blur that unsharp_mask runs, its row blocks joined."""
+    return np.concatenate([blur.copy() for _, blur in _blur_blocks(values, sigma)])
+
+
 def blur_u8(values: np.ndarray, sigma: float) -> np.ndarray:
     """The blur that unsharp_mask runs, rounded to 8 bits."""
-    return round_u8(_blur_float(values, sigma))
+    return round_u8(blur_float(values, sigma))
+
+
+def block_heights(monkeypatch, rows: int) -> None:
+    """Make the blur take blocks of ``rows`` rows, whatever the image width."""
+    monkeypatch.setattr(preprocess, "_BLOCK_FLOATS", 0)
+    monkeypatch.setattr(preprocess, "_MIN_BLOCK_ROWS", rows)
 
 
 class TestGaussianBlur:
@@ -330,8 +354,26 @@ class TestGaussianBlur:
     @settings(deadline=None)
     @given(u8_arrays() | u8_arrays(3), sigmas)
     def test_matches_ndimage_bit_for_bit(self, values, sigma):
-        got = _blur_float(values, sigma)
+        got = blur_float(values, sigma)
         assert got.shape == values.shape
+        assert np.array_equal(got.view(np.uint64), blur_ndimage_oracle(values, sigma).view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 30), (30, 1), (24, 2), (5, 300), (13, 11, 3)])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.7, 3.0])
+    def test_every_block_height_matches_ndimage_bit_for_bit(self, monkeypatch, rng, shape, sigma):
+        values = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        want = blur_ndimage_oracle(values, sigma).view(np.uint64)
+        for rows in range(1, shape[0] + 1):
+            block_heights(monkeypatch, rows)
+            assert np.array_equal(blur_float(values, sigma).view(np.uint64), want), rows
+
+    @settings(deadline=None)
+    @given(u8_arrays(3), sigmas, st.data())
+    def test_any_block_height_matches_ndimage_bit_for_bit(self, values, sigma, data):
+        rows = data.draw(st.integers(1, values.shape[0]))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            block_heights(monkeypatch, rows)
+            got = blur_float(values, sigma)
         assert np.array_equal(got.view(np.uint64), blur_ndimage_oracle(values, sigma).view(np.uint64))
 
 
@@ -347,7 +389,7 @@ class TestUnsharpMask:
         def fail(*args):
             raise AssertionError("blurred with sharpen_amount 0")
 
-        monkeypatch.setattr(preprocess, "_blur_float", fail)
+        monkeypatch.setattr(preprocess, "_blur_blocks", fail)
         img = Image(np.full((4, 4, 3), 9, np.uint8))
         assert unsharp_mask(img, PreprocessConfig(sharpen_amount=0)) is img
 
@@ -391,6 +433,34 @@ class TestUnsharpMask:
         got = unsharp_mask(Image(pixels), cfg).pixels
         assert np.array_equal(got, unsharp_oracle(pixels, cfg))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 30), (30, 1), (24, 2), (5, 300), (16, 16)])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+    def test_every_block_height_matches_the_oracle(self, monkeypatch, rng, shape, sigma):
+        pixels = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        cfg = PreprocessConfig(sharpen_sigma=sigma, sharpen_amount=1.3, sharpen_threshold=2)
+        want = unsharp_oracle(pixels, cfg)
+        for rows in range(1, shape[0] + 1):
+            block_heights(monkeypatch, rows)
+            assert np.array_equal(unsharp_mask(Image(pixels), cfg).pixels, want), rows
+
+
+class TestSharpenTable:
+    # at 0.7, 1.1 and 2.3 some detail * amount + 0.5 lands within 1e-9 of an integer
+    @pytest.mark.parametrize("amount", [0.05, 0.3, 0.7, 0.8, 1, 1.1, 1.9, 2.3, 3.0])
+    @pytest.mark.parametrize("threshold", [0, 1, 6, 40, 255])
+    def test_every_entry_matches_the_float_expression(self, amount, threshold):
+        blur, src = np.divmod(np.arange(256 * 256), 256)
+        detail = src - blur
+        boosted = np.clip(np.floor(src + amount * detail + 0.5), 0, 255)
+        want = np.where(np.abs(detail) > threshold, boosted, src)
+        table = _sharpen_table(amount, threshold)
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, want)
+
+    def test_is_built_once_per_amount_and_threshold(self):
+        assert _sharpen_table(0.8, 0) is _sharpen_table(0.8, 0)
+        assert not _sharpen_table(0.8, 0).flags.writeable
+
 
 # ---------------------------------------------------------------- closing
 
@@ -414,6 +484,25 @@ class TestMorphClose:
                 got = morph_close_line(img, length, orientation).values
                 want = closing_oracle(img.values, length, orientation)
                 assert np.array_equal(got, want), (shape, length, orientation)
+
+    @pytest.mark.parametrize("length", range(3, 22, 2))
+    def test_matches_both_oracles_at_every_length(self, rng, length):
+        # the smaller shapes are shorter than most SEs in one or both sides
+        for shape in [(1, 1), (1, 14), (14, 1), (5, 8), (12, 12), (40, 33)]:
+            values = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            for orientation in ORIENTATIONS:
+                got = morph_close_line(GrayImage(values), length, orientation).values
+                assert np.array_equal(got, closing_ndimage_oracle(values, length, orientation))
+                if values.size <= 144:
+                    assert np.array_equal(got, closing_oracle(values, length, orientation))
+
+    @settings(deadline=None)
+    @given(u8_arrays(3), st.integers(1, 10), st.sampled_from(ORIENTATIONS))
+    def test_closes_each_plane_as_ndimage_does(self, pixels, half, orientation):
+        planes = np.moveaxis(pixels, -1, 0)
+        got = _close(planes, 2 * half + 1, orientation)
+        for plane, closed in zip(planes, got):
+            assert np.array_equal(closed, closing_ndimage_oracle(plane, 2 * half + 1, orientation))
 
     def test_removes_thin_dark_line(self):
         arr = np.full((32, 32), 200, np.uint8)
@@ -654,11 +743,12 @@ class TestAllocationBudget:
     """Per-image kernels allocate in proportion to their work, not in whole
     float64 frames per step; traced peaks on the 224x224 golden input."""
 
-    def test_unsharp_mask_holds_two_padded_float64_frames(self):
+    def test_unsharp_mask_holds_less_than_one_padded_float64_frame(self):
         img = golden_image("hairy")
+        unsharp_mask(img)  # the sharpen table is built once per process, outside the trace
         r = math.ceil(3 * PreprocessConfig().sharpen_sigma)
         padded = (img.height + 2 * r) * (img.width + 2 * r) * 3 * 8
-        assert traced_peak(lambda: unsharp_mask(img)) <= 2 * padded + 2 * img.pixels.nbytes
+        assert traced_peak(lambda: unsharp_mask(img)) < padded
 
     def test_inpaint_of_a_small_mask_holds_three_uint8_frames(self):
         img = golden_image("hairy")

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import dataset, evaluation
+from . import dataset
 
 log = logging.getLogger("lesionprep")
 
@@ -239,6 +239,8 @@ def cmd_train_probe(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     report = _read(args.log, lambda path: evaluation.metrics_report(
         evaluation.parse_prediction_log(path.read_bytes())))
     payload = evaluation.report_to_dict(report, paper_round=args.paper_rounding)
@@ -247,20 +249,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _saved_report(path: Path) -> evaluation.MetricsReport:
-    """The report of the `confusion` counts in a saved eval report."""
-    payload = json.loads(path.read_bytes())
-    try:
-        return evaluation.MetricsReport(evaluation.ConfusionMatrix(**payload["confusion"]))
-    except (KeyError, TypeError) as exc:  # a missing, unknown or ill-typed field
-        raise ValueError(str(exc)) from exc
-
-
 def cmd_report(args) -> int:
     """Re-render a saved eval report, recomputing every metric from its
     `confusion` counts; the stored `metrics` are not read."""
+    from . import evaluation
+
+    def saved_report(path: Path) -> evaluation.MetricsReport:
+        payload = json.loads(path.read_bytes())
+        try:
+            return evaluation.MetricsReport(evaluation.ConfusionMatrix(**payload["confusion"]))
+        except (KeyError, TypeError) as exc:  # a missing, unknown or ill-typed field
+            raise ValueError(str(exc)) from exc
+
     text = _read(args.input, lambda path: evaluation.render_report_text(
-        _saved_report(path), paper_round=args.paper_rounding))
+        saved_report(path), paper_round=args.paper_rounding))
     sys.stdout.write(text)
     return 0
 

@@ -3,8 +3,8 @@ manifest I/O.
 
 Expected directory layout: root/{train,test}/{benign,malignant}/<image files>.
 Scanning refuses, by name, any other directory at the top and any file
-directly under train/ or test/; it ignores files at the top, hidden files and
-hidden top-level directories.
+directly under train/ or test/; it ignores files at the top and hidden files
+and directories at every depth.
 Each file's path under the root must be `str.isprintable()` text (no control
 characters, line breaks or undecodable bytes), or scanning refuses it by name.
 Manifests are CSV lines `path,label,split` sorted by path, so reruns with the
@@ -106,8 +106,8 @@ def scan_dataset(root: str | Path) -> list[ManifestEntry]:
     in lexicographic path order. Paths are stored relative to root and must
     be printable text, so that every manifest row reads back as written.
     Any other top-level directory, and any file directly under train/ or
-    test/, is refused by name rather than left out; files at the top, hidden
-    files and hidden top-level directories are ignored."""
+    test/, is refused by name rather than left out; files at the top, and
+    hidden files and directories at any depth, are ignored."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
@@ -120,15 +120,13 @@ def scan_dataset(root: str | Path) -> list[ManifestEntry]:
     for top in sorted(p for p in root.iterdir() if p.is_dir() and not p.name.startswith(".")):
         if top.name not in _TOP_DIRS:
             raise refuse(top, "not a split directory")
-        for class_dir in sorted(top.iterdir()):
+        for class_dir in sorted(p for p in top.iterdir() if not p.name.startswith(".")):
             if not class_dir.is_dir():
-                if not class_dir.name.startswith("."):
-                    raise refuse(class_dir, "outside a class directory")
-                continue
+                raise refuse(class_dir, "outside a class directory")
             if class_dir.name not in LABELS:
                 raise ValueError(f"unknown class directory {class_dir}")
             for f in sorted(class_dir.rglob("*")):
-                if f.is_file() and not f.name.startswith("."):
+                if f.is_file() and not any(part.startswith(".") for part in f.relative_to(class_dir).parts):
                     path = f.relative_to(root).as_posix()
                     if not path.isprintable():
                         raise ValueError(f"file name {path!r} under {root} is not printable text")

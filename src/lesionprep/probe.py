@@ -9,16 +9,20 @@ Feature layout (all in [0, 1]):
   [51:54]  per-channel std / 255       (population std; r, g, b)
   [54]     mean Sobel gradient magnitude of the luma, / (1020 * sqrt(2))
 
-The features are computed without a float64 copy of the image. One 256-bin
-``np.bincount`` per channel gives the histograms (summed in groups of 16) and
-the exact integer sum behind each mean. Each std is numpy's population std
-over a float64 (n, 3) copy, reproduced bit for bit: a 256-entry table of
-``(v - mean)**2`` is indexed in pixel order and summed sequentially by
-``np.cumsum``, which is the order in which numpy reduces that copy along its
-first axis. The Sobel responses of the luma are exact int32 sums. Besides
-correctly rounded arithmetic, the features call only libm's ``hypot`` (through
-``np.hypot``) and the pairwise sum of ``np.mean``; no float matmul enters
-them, so they do not depend on the BLAS kernel.
+The features run in blocks of ``_BLOCK_ROWS`` rows through buffers allocated
+once per call, with no float64 copy of the image; each pass casts a block's
+levels to intp once. Pass one adds each block's 256-bin ``np.bincount`` per
+channel into the counts behind the histograms (summed in groups of 16) and the
+exact integer sum behind each mean, and writes ``np.hypot`` of the exact int16
+Sobel responses of the block's luma (read with a 1-row halo) into one float64
+plane, so that ``np.mean`` keeps the pairwise order of a whole frame. Each std
+is numpy's population std over a float64 (n, 3) copy, reproduced bit for bit
+by pass two: a 256-entry table of ``(v - mean)**2`` is indexed in pixel order
+and summed by ``np.cumsum``, the sequential order in which numpy reduces that
+copy along its first axis, each block from the running total carried into its
+first slot. Besides correctly rounded arithmetic, the features call only libm's
+``hypot`` and the pairwise sum of ``np.mean``; no float matmul enters them, so
+they do not depend on the BLAS kernel.
 
 Each curve point takes a set's accuracy and loss from one softmax. The two
 float matmuls of each training step go through BLAS, so the model and curve
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Image, to_grayscale
+from .raster import Image, _luma
 
 FEATURE_DIM = 55
 
@@ -83,30 +87,54 @@ class CurvePoint:
 
 _LEVELS = np.arange(256)
 _ONE_HOT = np.eye(2)
+_BLOCK_ROWS = 24  # rows per block of extract_features; at 32 its peak passes two float64 planes
 
 
 def extract_features(image: Image) -> np.ndarray:
     """Deterministic 55-dim descriptor; see the module docstring for layout
     and for how each part is summed."""
     pixels = image.pixels
-    n = pixels.shape[0] * pixels.shape[1]
-    channels = [pixels[:, :, c].ravel() for c in range(3)]
-    counts = np.stack([np.bincount(v, minlength=256) for v in channels])
+    h, w = pixels.shape[:2]
+    n = h * w
+    levels = np.empty((3, min(h, _BLOCK_ROWS + 2), w), np.intp)
+    luma = np.empty(levels.shape[1:])
+    magnitude = np.empty((h, w))
+    counts = np.zeros((3, 256), np.intp)
+
+    def cast(lo: int, hi: int) -> np.ndarray:  # the levels of rows lo:hi, channels first
+        block = levels[:, : hi - lo]
+        np.copyto(block, np.moveaxis(pixels[lo:hi], -1, 0))
+        return block
+
+    for r0 in range(0, h, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, h)
+        lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
+        block, inner, out = cast(lo, hi), slice(r0 - lo, r1 - lo), magnitude[r0:r1]
+        for c in range(3):
+            counts[c] += np.bincount(block[c, inner].ravel(), minlength=256)
+        gx, gy = _sobel(_luma(block, luma[: hi - lo]).astype(np.int16))
+        np.copyto(out, gx[inner])  # np.hypot of two int16 operands runs in float32
+        np.hypot(out, gy[inner], out=out)
+    edge = float(np.mean(magnitude)) / _SOBEL_MAX
+
     means = counts @ _LEVELS / n
-    variances = np.array(
-        [np.cumsum(np.square(_LEVELS - m).take(v))[-1] for m, v in zip(means, channels)]
-    ) / n
-    gx, gy = _sobel(to_grayscale(image).values.astype(np.int32))
-    edge = float(np.mean(np.hypot(gx, gy))) / _SOBEL_MAX
+    tables = np.square(_LEVELS - means[:, None])
+    sums = np.zeros(3)
+    run = np.empty(levels[0].size)
+    for r0 in range(0, h, _BLOCK_ROWS):
+        for c, (table, v) in enumerate(zip(tables, cast(r0, min(r0 + _BLOCK_ROWS, h)))):
+            part = table.take(v.ravel(), out=run[: v.size], mode="clip")
+            part[0] += sums[c]
+            sums[c] = np.cumsum(part, out=part)[-1]
     histograms = counts.reshape(3, 16, 16).sum(axis=2) / n
-    return np.concatenate([histograms.ravel(), means / 255.0, np.sqrt(variances) / 255.0, [edge]])
+    return np.concatenate([histograms.ravel(), means / 255.0, np.sqrt(sums / n) / 255.0, [edge]])
 
 
 def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sobel responses along x and y with replicate borders, in the dtype of
-    ``gray``. On an int32 luma every sum is exact. Not int16: ``np.hypot``
-    of int16 operands resolves to float32."""
-    p = np.pad(gray, 1, mode="edge")
+    ``gray``; on an 8-bit luma in int16 or wider every sum is exact."""
+    p = np.concatenate([gray[:1], gray, gray[-1:]])  # edge padding; np.pad costs 5x more
+    p = np.concatenate([p[:, :1], p, p[:, -1:]], axis=1)
     dx = p[:, 2:] - p[:, :-2]
     dy = p[2:] - p[:-2]
     return dx[:-2] + 2 * dx[1:-1] + dx[2:], dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]

@@ -6,11 +6,12 @@ All four pool the three color channels into one sample set and assume a peak
 value of 255. PSNR of identical images is the +inf sentinel, serialized as
 the token "inf".
 
-The sums run as float64 dot products, and the difference is formed in place
-in the reference's sample buffer. Every sample is an integer in [0, 255], so
-every product and partial sum is an integer below 255^2 * N for N samples,
-under 2^53 while N < 1.3e11. float64 holds all of them exactly, so the sums,
-and with them all four metrics, do not depend on the order of summation.
+The three sums of squares (reference, test, difference) are integer sums on
+the uint8 samples, with no float copy: each sample is squared into uint16, the
+squares are added in uint64, and |d| is max - min in uint8. They are exact, in
+any order of summation, while N * 255^2 < 2^64 for N samples, and convert to
+float exactly below 2^53; so MSE = float(sum d^2) / N and L2RAT =
+float(sum test^2) / float(sum ref^2) each round once, in the division.
 """
 
 from __future__ import annotations
@@ -38,31 +39,32 @@ class QualityRow:
     height: int
 
 
-def _samples(image: Image | GrayImage) -> np.ndarray:
-    arr = image.pixels if isinstance(image, Image) else image.values
-    return arr.astype(np.float64).ravel()
+def _sum_squares(v: np.ndarray) -> int:
+    return int(np.square(v, dtype=np.uint16).sum(dtype=np.uint64))
 
 
 def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayImage) -> QualityRow:
-    """The four metrics of a pair of images of the same size."""
+    """The four metrics of a pair of images of the same kind and size."""
+    if type(reference) is not type(test):
+        raise ValueError(f"kind mismatch: {type(reference).__name__} vs {type(test).__name__}")
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"dimension mismatch: {reference.width}x{reference.height} vs "
             f"{test.width}x{test.height}"
         )
-    ref, t = _samples(reference), _samples(test)
-    denom = float(np.dot(ref, ref))
+    ref, t = reference._array.ravel(), test._array.ravel()
+    denom = _sum_squares(ref)
     if denom == 0:
         raise ValueError("l2rat undefined for an all-zero reference")
-    l2_test = float(np.dot(t, t))
-    d = np.subtract(ref, t, out=ref)
-    m = float(np.dot(d, d)) / len(d)
+    d = np.maximum(ref, t)
+    d -= np.minimum(ref, t)
+    m = float(_sum_squares(d)) / len(d)
     return QualityRow(
         image_id=image_id,
         psnr=math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m),
         mse=m,
-        maxerr=int(max(d.max(), -d.min())),
-        l2rat=l2_test / denom,
+        maxerr=int(d.max()),
+        l2rat=float(_sum_squares(t)) / float(denom),
         width=reference.width,
         height=reference.height,
     )

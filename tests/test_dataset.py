@@ -96,6 +96,17 @@ class TestScan:
             (tmp_path / rel).write_bytes(b"")
         assert [e.path for e in scan_dataset(tmp_path)] == ["train/benign/img0000.ppm"]
 
+    @pytest.mark.parametrize("hidden", [
+        "train/benign/.ipynb_checkpoints/a-checkpoint.ppm",
+        "train/.ipynb_checkpoints/benign/a-checkpoint.ppm",
+        "test/malignant/sub/.cache/deep/x.ppm",
+    ])
+    def test_ignores_hidden_directories_at_every_depth(self, tmp_path, hidden):
+        make_tree(tmp_path, {("train", "benign"): 1})
+        (tmp_path / hidden).parent.mkdir(parents=True)
+        (tmp_path / hidden).write_bytes(b"P6 1 1 255\n\x00\x00\x00")
+        assert [e.path for e in scan_dataset(tmp_path)] == ["train/benign/img0000.ppm"]
+
     @pytest.mark.parametrize("name", ["odd\rname.ppm", "line\nbreak.ppm", "tab\there.ppm", "del\x7f.ppm"])
     def test_refuses_unprintable_name(self, tmp_path, name):
         make_tree(tmp_path, {("train", "benign"): 1})

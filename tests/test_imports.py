@@ -1,6 +1,7 @@
 """Each subcommand imports only what it runs: split, eval and report run on the
 standard library alone, and preprocess, quality and train-probe need numpy but
-not scipy, which no module of the package imports.
+not scipy, which no module of the package imports. Only eval and report load
+`lesionprep.evaluation` and the `fractions` module it uses.
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early.
@@ -25,7 +26,7 @@ GUARD = """
 import json, sys
 from lesionprep.cli import main
 code = main(sys.argv[2:])
-loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+loaded = [name for name in ("numpy", "scipy", "lesionprep.evaluation", "fractions") if name in sys.modules]
 with open(sys.argv[1], "w") as f:
     json.dump({"code": code, "loaded": loaded}, f)
 """
@@ -33,7 +34,8 @@ with open(sys.argv[1], "w") as f:
 
 def run_fresh(tmp_path, *argv):
     """Runs ``lesionprep.cli.main(argv)`` in a new interpreter; returns its
-    exit code and which of numpy and scipy it left in ``sys.modules``."""
+    exit code and which of numpy, scipy, lesionprep.evaluation and fractions
+    it left in ``sys.modules``."""
     result = tmp_path / "guard.json"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     subprocess.run(
@@ -82,7 +84,8 @@ def commands(d, tmp_path):
 
 @pytest.mark.parametrize("command", ["split", "eval", "report"])
 def test_stdlib_only_subcommands_import_no_numpy(inputs, tmp_path, command):
-    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, [])
+    evaluation = ["lesionprep.evaluation", "fractions"] if command != "split" else []
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, evaluation)
 
 
 @pytest.mark.parametrize("command", ["quality", "train-probe"])

@@ -102,10 +102,9 @@ class TestOracle:
 
 
 class TestAllocationBudget:
-    def test_quality_row_holds_two_float64_frames(self):
+    def test_quality_row_holds_four_uint8_frames(self):
         reference, test = golden_image("clean"), golden_image("hairy")
-        u8 = reference.pixels.nbytes
-        assert traced_peak(lambda: quality_row("x", reference, test)) <= 2 * 8 * u8 + u8
+        assert traced_peak(lambda: quality_row("x", reference, test)) <= 4 * reference.pixels.nbytes
 
 
 class TestMse:
@@ -124,6 +123,12 @@ class TestMse:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             row(gray([[1]]), gray([[1, 2]]))
+
+    def test_gray_and_color_of_one_size_are_refused_by_kind(self):
+        color, shade = Image(np.ones((4, 4, 3), np.uint8)), gray(np.ones((4, 4)))
+        for reference, test, named in ((shade, color, "GrayImage vs Image"), (color, shade, "Image vs GrayImage")):
+            with pytest.raises(ValueError, match=f"kind mismatch: {named}"):
+                row(reference, test)
 
 
 class TestPsnr:

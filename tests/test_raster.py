@@ -165,6 +165,34 @@ def test_image_and_gray_share_their_checks(cls, shape):
     assert Image(np.zeros((2, 3, 3), np.uint8)) != GrayImage(np.zeros((2, 3), np.uint8))
 
 
+class TestDecodeBuffers:
+    """A payload in ``bytes`` is viewed, not copied; any input that can still
+    change is copied."""
+
+    @pytest.mark.parametrize("image", [Image(np.arange(18, dtype=np.uint8).reshape(2, 3, 3)),
+                                       GrayImage(np.arange(6, dtype=np.uint8).reshape(2, 3))])
+    def test_decoded_bytes_are_viewed_read_only(self, image):
+        data = encode_netpbm(image)
+        array = decode_netpbm(data)._array
+        assert not array.flags.writeable
+        assert np.shares_memory(array, np.frombuffer(data, np.uint8))
+        assert decode_netpbm(data) == image
+
+    def test_mutable_buffers_are_copied(self):
+        image = Image(np.arange(18, dtype=np.uint8).reshape(2, 3, 3))
+        data = bytearray(encode_netpbm(image))
+        decoded = decode_netpbm(data)
+        viewed = Image(np.frombuffer(memoryview(data), np.uint8, 18, len(data) - 18).reshape(2, 3, 3))
+        data[-1] ^= 0xFF
+        assert decoded == image and viewed == image
+
+    def test_writable_arrays_and_their_views_are_copied(self):
+        source = np.zeros((4, 3, 3), np.uint8)
+        images = [Image(source), Image(source[1:3]), Image(source[:, ::-1])]
+        source[:] = 7
+        assert all(not img.pixels.any() for img in images)
+
+
 def test_pixels_are_immutable():
     img = Image(np.zeros((2, 2, 3), np.uint8))
     with pytest.raises(ValueError):

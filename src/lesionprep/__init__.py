@@ -1,7 +1,7 @@
 """lesionprep: dermoscopy image refinement and evaluation toolkit.
 
 Submodules:
-  raster      - rasters, netpbm codec, grayscale conversion
+  raster      - rasters and the netpbm codec
   preprocess  - unsharp sharpening + DullRazor-style hair removal
   quality     - PSNR / MSE / MAXERR / L2RAT reports
   dataset     - scanning, stratified splitting, manifests

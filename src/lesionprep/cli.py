@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from . import dataset
 
@@ -62,6 +62,18 @@ def _write_text(path, text: str) -> None:
         sys.stdout.write(text)
     else:
         _write_atomic(Path(path), text.encode("utf-8"))
+
+
+def _read_entries(manifest):
+    """The manifest's entries. Each path is joined to a root, so one that is
+    absolute or empty or has a ``..`` segment is a DataError naming it, raised
+    before any image is read or written."""
+    entries = _read(manifest, dataset.read_manifest)
+    for e in entries:
+        rel = PurePath(e.path)
+        if not e.path or rel.is_absolute() or ".." in rel.parts:
+            raise DataError(f"{manifest}: path {e.path!r} must be relative to the root, without '..'")
+    return entries
 
 
 def _load_image(path: Path):
@@ -121,7 +133,7 @@ def cmd_preprocess(args) -> int:
 
     config = _config(PreprocessConfig, args)
     log.info("preprocess config: %s", config)
-    entries = _read(args.manifest, dataset.read_manifest)
+    entries = _read_entries(args.manifest)
     images_root = Path(args.images_root)
     out_root = Path(args.out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -150,7 +162,7 @@ def cmd_preprocess(args) -> int:
 def cmd_quality(args) -> int:
     from . import quality
 
-    entries = _read(args.manifest, dataset.read_manifest)
+    entries = _read_entries(args.manifest)
     images_root = Path(args.images_root)
     pre_root = Path(args.pre_root)
 
@@ -223,7 +235,7 @@ def cmd_train_probe(args) -> int:
 
     config = _config(probe.TrainConfig, args)
     log.info("train config: %s", config)
-    entries = _read(args.manifest, dataset.read_manifest)
+    entries = _read_entries(args.manifest)
     images_root = Path(args.images_root)
     X_train, y_train = _features_for([e for e in entries if e.split == "train"], images_root)
     X_val, y_val = _features_for([e for e in entries if e.split == "val"], images_root)
@@ -282,7 +294,6 @@ def _add_preprocess_flags(p: _Parser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lesionprep")
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     # with SUPPRESS a config flag left out keeps its dataclass default (`_config`)
@@ -341,11 +352,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:

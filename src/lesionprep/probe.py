@@ -7,7 +7,7 @@ Feature layout (all in [0, 1]):
   [32:48]  blue histogram
   [48:51]  per-channel mean / 255      (r, g, b)
   [51:54]  per-channel std / 255       (population std; r, g, b)
-  [54]     mean Sobel gradient magnitude of the luma, / (1020 * sqrt(2))
+  [54]     mean Sobel gradient magnitude of the BT.601 luma, / (1020 * sqrt(2))
 
 The features run in blocks of ``_BLOCK_ROWS`` rows through buffers allocated
 once per call, with no float64 copy of the image; each pass casts a block's
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Image, _luma
+from .raster import Image
 
 FEATURE_DIM = 55
 
@@ -86,6 +86,8 @@ class CurvePoint:
 
 
 _LEVELS = np.arange(256)
+# Each BT.601 weight times every 8-bit level, one row per channel (R, G, B).
+_LUMA = np.array([[0.299], [0.587], [0.114]]) * _LEVELS
 _ONE_HOT = np.eye(2)
 _BLOCK_ROWS = 24  # rows per block of extract_features; at 32 its peak passes two float64 planes
 
@@ -128,6 +130,23 @@ def extract_features(image: Image) -> np.ndarray:
             sums[c] = np.cumsum(part, out=part)[-1]
     histograms = counts.reshape(3, 16, 16).sum(axis=2) / n
     return np.concatenate([histograms.ravel(), means / 255.0, np.sqrt(sums / n) / 255.0, [edge]])
+
+
+def _luma(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """BT.601 luma, floor(0.299 R + 0.587 G + 0.114 B + 0.5), of intp R, G, B
+    ``levels`` (first axis) into float64 ``out``. Each weighted channel is
+    looked up in ``_LUMA``, whose entries are the float64 products the formula
+    forms, and the three are added in the order R, G, B; so the luma equals the
+    float64 formula's bit for bit (checked on all 2^24 triples) without a
+    float64 copy of the image. The sum never reaches 255.5, so it needs no
+    clip. The integer formula (299 R + 587 G + 114 B + 500) // 1000 is not a
+    substitute: it differs on 3,464 triples. ``take`` runs several times
+    faster on intp indices than on uint8."""
+    _LUMA[0].take(levels[0], out=out, mode="clip")  # in range; "clip" spares out a buffer
+    out += _LUMA[1].take(levels[1])
+    out += _LUMA[2].take(levels[2])
+    out += 0.5
+    return np.floor(out, out=out)
 
 
 def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

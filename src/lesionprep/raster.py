@@ -1,4 +1,4 @@
-"""8-bit raster images, a binary netpbm (P5/P6) codec, and grayscale conversion.
+"""8-bit raster images and a binary netpbm (P5/P6) codec.
 
 Images are thin immutable wrappers around uint8 numpy arrays. The codec is
 bit-exact: encoding is canonical (single-space header, maxval 255, one newline
@@ -91,7 +91,7 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
-    return data[start:pos], pos
+    return bytes(data[start:pos]), pos  # a memoryview slice has no isdigit
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -105,14 +105,15 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def decode_netpbm(data: bytes) -> Image | GrayImage:
-    """Decode a binary P6 (color) or P5 (gray) stream with maxval 255.
+    """Decode a binary P6 (color) or P5 (gray) stream with maxval 255 from
+    ``bytes`` or any other bytes-like buffer.
 
     Pixel values are taken verbatim; no rescaling. Raises NetpbmError with the
     offending byte offset on malformed magic, non-255 maxval, or short payload.
     """
-    if len(data) < 2 or data[:1] != b"P":
-        raise NetpbmError(f"bad magic {data[:2]!r}", 0)
-    magic = data[:2]
+    magic = bytes(data[:2])
+    if len(magic) < 2 or magic[:1] != b"P":
+        raise NetpbmError(f"bad magic {magic!r}", 0)
     if magic not in (b"P5", b"P6"):
         raise NetpbmError(f"unsupported magic {magic!r}", 0)
     width, pos = _read_int(data, 2, "width")
@@ -146,32 +147,3 @@ def encode_netpbm(image: Image | GrayImage) -> bytes:
         raise TypeError(f"cannot encode {type(image).__name__}")
     header = b"%s %d %d 255\n" % (magic, image.width, image.height)
     return header + payload
-
-
-# Each BT.601 weight times every 8-bit level, one row per channel (R, G, B).
-_LUMA = np.array([[0.299], [0.587], [0.114]]) * np.arange(256)
-
-
-def to_grayscale(image: Image) -> GrayImage:
-    """BT.601 luma: round(0.299 R + 0.587 G + 0.114 B), round half up.
-
-    Each weighted channel is looked up in ``_LUMA``, whose entries are the
-    float64 products the formula forms, and the three are added in the order
-    R, G, B; so the luma equals the float64 formula's bit for bit (checked on
-    all 2^24 triples) without a float64 copy of the image. The sum never
-    reaches 255.5, so floor(y + 0.5) needs no clip. The integer formula
-    (299 R + 587 G + 114 B + 500) // 1000 is not a substitute: it differs on
-    3,464 triples.
-    """
-    levels = np.moveaxis(image.pixels, -1, 0).astype(np.intp)
-    return GrayImage(_luma(levels, np.empty(levels.shape[1:])).astype(np.uint8))
-
-
-def _luma(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``to_grayscale``'s float64 luma of intp R, G, B ``levels`` (first axis)
-    into ``out``; ``take`` runs several times faster on intp indices than on uint8."""
-    _LUMA[0].take(levels[0], out=out, mode="clip")  # in range; "clip" spares out a buffer
-    out += _LUMA[1].take(levels[1])
-    out += _LUMA[2].take(levels[2])
-    out += 0.5
-    return np.floor(out, out=out)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lesionprep import preprocess
 from lesionprep.cli import main
-from lesionprep.dataset import SplitConfig
+from lesionprep.dataset import ManifestEntry, SplitConfig, format_manifest
 from lesionprep.preprocess import PreprocessConfig
 from lesionprep.probe import TrainConfig
 from lesionprep.raster import Image, encode_netpbm
@@ -522,11 +522,16 @@ class TestEvalAndReport:
         assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("command, flags", [
+# the commands that join manifest paths to --images-root, with flags that
+# write relative to the working directory
+manifest_commands = pytest.mark.parametrize("command, flags", [
     ("preprocess", ["--out-root", "out"]),
     ("quality", ["--pre-root", "pre"]),
     ("train-probe", ["--seed", 1, "--model-out", "model.txt", "--curve-out", "curve.csv"]),
 ], ids=["preprocess", "quality", "train-probe"])
+
+
+@manifest_commands
 @pytest.mark.parametrize("data, problem", [
     (b"path,label,split\na.ppm,benign\n", "line 2: expected 3 fields"),
     (b"path,label,split\na.ppm,ben\rign,train\n", "line 2: "),
@@ -541,6 +546,31 @@ def test_malformed_manifest_names_the_path(tmp_path, monkeypatch, capsys, caplog
         assert run(command, "--manifest", manifest, "--images-root", tmp_path, *flags) == 2
     assert caplog.records[-1].getMessage().startswith(f"{manifest}: {problem}")
     assert "Traceback" not in capsys.readouterr().err
+
+
+@manifest_commands
+@pytest.mark.parametrize("bad", ["../x.ppm", "absolute", "", "a/../../x.ppm"])
+def test_manifest_path_outside_the_root_is_refused(tmp_path, monkeypatch, caplog, command, flags, bad):
+    # every file a bad path could reach exists, so only the path rule stops
+    # the command; the good entry comes first, and nothing may be written
+    monkeypatch.chdir(tmp_path)
+    bad = str(tmp_path / "x.ppm") if bad == "absolute" else bad
+    for i, path in enumerate(["images/a.ppm", "x.ppm", "pre/a.pre.ppm", "x.pre.ppm"]):
+        write_image(tmp_path / path, seed=i, bright=i % 2 == 0)
+    (tmp_path / "m.csv").write_text(format_manifest([ManifestEntry("a.ppm", "benign", "train"),
+                                                     ManifestEntry(bad, "malignant", "train")]))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with caplog.at_level(logging.ERROR, logger="lesionprep"):
+        assert run(command, "--manifest", "m.csv", "--images-root", "images", *flags) == 2
+    assert caplog.records[-1].getMessage().startswith(f"m.csv: path {bad!r} must be relative")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, tmp_path / "images", tmp_path / "pre"])
+
+
+def test_verbose_is_an_unknown_flag():
+    with pytest.raises(SystemExit) as exc:
+        run("--verbose", "split", "--root", ".", "--seed", 1, "--out", "m.csv")
+    assert exc.value.code == 1
 
 
 def test_pipeline_end_to_end_on_synthetic(tmp_path):

@@ -1,7 +1,8 @@
 """Each subcommand imports only what it runs: split, eval and report run on the
 standard library alone, and preprocess, quality and train-probe need numpy but
 not scipy, which no module of the package imports. Only eval and report load
-`lesionprep.evaluation` and the `fractions` module it uses.
+`lesionprep.evaluation` and the `fractions` module it uses, and only
+train-probe loads `numpy.random`, which `import numpy` leaves out.
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early.
@@ -26,7 +27,8 @@ GUARD = """
 import json, sys
 from lesionprep.cli import main
 code = main(sys.argv[2:])
-loaded = [name for name in ("numpy", "scipy", "lesionprep.evaluation", "fractions") if name in sys.modules]
+loaded = [name for name in ("numpy", "numpy.random", "scipy", "lesionprep.evaluation", "fractions")
+          if name in sys.modules]
 with open(sys.argv[1], "w") as f:
     json.dump({"code": code, "loaded": loaded}, f)
 """
@@ -34,8 +36,8 @@ with open(sys.argv[1], "w") as f:
 
 def run_fresh(tmp_path, *argv):
     """Runs ``lesionprep.cli.main(argv)`` in a new interpreter; returns its
-    exit code and which of numpy, scipy, lesionprep.evaluation and fractions
-    it left in ``sys.modules``."""
+    exit code and which of numpy, numpy.random, scipy, lesionprep.evaluation
+    and fractions it left in ``sys.modules``."""
     result = tmp_path / "guard.json"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     subprocess.run(
@@ -90,7 +92,8 @@ def test_stdlib_only_subcommands_import_no_numpy(inputs, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["quality", "train-probe"])
 def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
-    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, ["numpy"])
+    loaded = ["numpy", "numpy.random"] if command == "train-probe" else ["numpy"]
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, loaded)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

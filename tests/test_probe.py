@@ -21,9 +21,8 @@ from lesionprep.probe import (
     softmax_predict,
     train_probe,
 )
-from lesionprep.raster import Image, to_grayscale
+from lesionprep.raster import Image
 from test_preprocess import golden_image, traced_peak
-from test_raster import luma_oracle
 
 
 def zero_model(dim: int) -> LinearProbeModel:
@@ -75,6 +74,19 @@ def uniform_image(r, g, b, size=4):
     return Image(arr)
 
 
+def luma_oracle(r, g, b) -> np.ndarray:
+    """BT.601 luma in float64, round half up, as it was computed before the
+    per-channel tables of ``probe._luma``; broadcasts over the three channels."""
+    y = 0.299 * np.asarray(r, np.float64) + 0.587 * np.asarray(g, np.float64) + 0.114 * np.asarray(b, np.float64)
+    return np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
+
+
+def luma(image: Image) -> np.ndarray:
+    """``probe._luma`` of a whole image, as uint8."""
+    levels = np.moveaxis(image.pixels, -1, 0).astype(np.intp)
+    return probe._luma(levels, np.empty(levels.shape[1:])).astype(np.uint8)
+
+
 rgb_arrays = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
     lambda hw: hnp.arrays(np.uint8, hw + (3,))
 )
@@ -82,7 +94,7 @@ rgb_arrays = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
 
 def edge_oracle(img):
     """Mean Sobel magnitude of the luma, replicate borders, pixel by pixel."""
-    g = to_grayscale(img).values.astype(float)
+    g = luma_oracle(img.pixels[:, :, 0], img.pixels[:, :, 1], img.pixels[:, :, 2]).astype(float)
     h, w = g.shape
     kx = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
     total = 0.0
@@ -97,6 +109,36 @@ def edge_oracle(img):
                     gy += kx[dx + 1][dy + 1] * g[yy, xx]
             total += math.hypot(gx, gy)
     return total / (h * w) / (1020 * math.sqrt(2))
+
+
+class TestLuma:
+    def test_white_and_black(self):
+        img = Image(np.array([[[255, 255, 255]], [[0, 0, 0]]], np.uint8))
+        assert luma(img).ravel().tolist() == [255, 0]
+
+    def test_pure_red_rounds_to_76(self):
+        img = Image(np.array([[[255, 0, 0]]], np.uint8))
+        assert luma(img)[0, 0] == 76  # round(76.245)
+
+    def test_matches_float_formula_on_every_triple(self):
+        # all 2^24 triples, one 256x256 image per red level whose rows run
+        # over green and whose columns run over blue; small enough to stay
+        # in cache, which keeps the whole check near 0.5 s
+        levels = np.arange(256, dtype=np.uint8)
+        pixels = np.empty((256, 256, 3), np.uint8)
+        pixels[..., 1] = levels[:, None]
+        pixels[..., 2] = levels
+        for red in range(256):
+            pixels[..., 0] = red
+            got = luma(Image(pixels))
+            assert np.array_equal(got, luma_oracle(red, levels[:, None], levels)), red
+
+    def test_monotone_in_uniform_scaling(self, rng):
+        for _ in range(100):
+            px = rng.integers(0, 200, size=3)
+            lo = Image(px.reshape(1, 1, 3).astype(np.uint8))
+            hi = Image((px + rng.integers(0, 56, size=3)).reshape(1, 1, 3).astype(np.uint8))
+            assert luma(hi)[0, 0] >= luma(lo)[0, 0]
 
 
 def sobel_oracle(gray):

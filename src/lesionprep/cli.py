@@ -92,10 +92,17 @@ def _config(cls, args):
     return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _out_paths(out_root: Path, rel_path: str) -> tuple[Path, Path]:
-    rel = Path(rel_path)
-    stem_dir = out_root / rel.parent
-    return stem_dir / f"{rel.stem}.pre.ppm", stem_dir / f"{rel.stem}.mask.pgm"
+def _out_paths(manifest, entries, out_root: Path) -> list[tuple[Path, Path]]:
+    """Each entry's ``<stem>.pre.ppm`` and ``<stem>.mask.pgm`` under ``out_root``;
+    two entries with the same outputs (``a.ppm``, ``a.pnm``) are a DataError."""
+    paths, owners = [], {}
+    for e in entries:
+        rel = Path(e.path)
+        pre = out_root / rel.parent / f"{rel.stem}.pre.ppm"
+        if owners.setdefault(pre, e.path) != e.path:
+            raise DataError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
+        paths.append((pre, pre.with_name(f"{rel.stem}.mask.pgm")))
+    return paths
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -136,14 +143,13 @@ def cmd_preprocess(args) -> int:
     entries = _read_entries(args.manifest)
     images_root = Path(args.images_root)
     out_root = Path(args.out_root)
+    outputs = _out_paths(args.manifest, entries, out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     if not entries:
         log.warning("empty manifest: nothing to do")
         return 0
-    tasks = []
-    for e in entries:
-        pre_path, mask_path = _out_paths(out_root, e.path)
-        tasks.append((e.path, str(images_root / e.path), str(pre_path), str(mask_path), config))
+    tasks = [(e.path, str(images_root / e.path), str(pre_path), str(mask_path), config)
+             for e, (pre_path, mask_path) in zip(entries, outputs)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -164,11 +170,10 @@ def cmd_quality(args) -> int:
 
     entries = _read_entries(args.manifest)
     images_root = Path(args.images_root)
-    pre_root = Path(args.pre_root)
+    outputs = _out_paths(args.manifest, entries, Path(args.pre_root))
 
     def pairs():  # one pair decoded at a time
-        for e in entries:
-            pre_path, _ = _out_paths(pre_root, e.path)
+        for e, (pre_path, _) in zip(entries, outputs):
             if not pre_path.exists():
                 raise DataError(f"missing preprocessed counterpart {pre_path}")
             yield e.path, _read(images_root / e.path, _load_image), _read(pre_path, _load_image)
@@ -321,7 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train-probe", help="train the softmax layer on fixed features",
+    p = sub.add_parser("train-probe", help="train the linear probe on fixed features",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--images-root", required=True)

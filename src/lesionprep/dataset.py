@@ -71,17 +71,12 @@ class Xoshiro256StarStar:
         self._s = [next(sm) for _ in range(4)]
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (((s[1] * 5) & _MASK64) << 7 | ((s[1] * 5) & _MASK64) >> 57) & _MASK64
-        result = (result * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = ((s[3] << 45) | (s[3] >> 19)) & _MASK64
-        return result
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        self._s = [s0 ^ s3, s1 ^ s2, s2 ^ ((s1 << 17) & _MASK64), ((s3 << 45) | (s3 >> 19)) & _MASK64]
+        return (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection sampling."""

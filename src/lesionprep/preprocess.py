@@ -73,6 +73,9 @@ class PreprocessConfig:
     hair_removal_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("sharpen_sigma", "sharpen_amount"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sharpen_sigma <= 0:
             raise ValueError("sharpen_sigma must be > 0")
         if self.sharpen_amount < 0 or self.sharpen_threshold < 0:
@@ -86,7 +89,7 @@ class PreprocessConfig:
         if self.min_component_span < 1:
             raise ValueError("min_component_span must be >= 1")
         if not 0 < self.max_thinness <= 1:
-            raise ValueError("max_thinness must be in (0, 1]")
+            raise ValueError(f"max_thinness must be in (0, 1], got {self.max_thinness}")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Fixed-feature linear probe: a handcrafted 55-dim image descriptor plus a
-2-class softmax layer trained by plain mini-batch gradient descent.
+"""Fixed-feature linear probe: a handcrafted 55-dim image descriptor plus one
+logistic unit trained by plain mini-batch gradient descent and saved as the
+2-class softmax layer it equals.
 
 Feature layout (all in [0, 1]):
   [0:16]   red 16-bin histogram        (bin k covers values [16k, 16k+16))
@@ -9,24 +10,22 @@ Feature layout (all in [0, 1]):
   [51:54]  per-channel std / 255       (population std; r, g, b)
   [54]     mean Sobel gradient magnitude of the BT.601 luma, / (1020 * sqrt(2))
 
-The features run in blocks of ``_BLOCK_ROWS`` rows through buffers allocated
-once per call, with no float64 copy of the image; each pass casts a block's
-levels to intp once. Pass one adds each block's 256-bin ``np.bincount`` per
-channel into the counts behind the histograms (summed in groups of 16) and the
-exact integer sum behind each mean, and writes ``np.hypot`` of the exact int16
-Sobel responses of the block's luma (read with a 1-row halo) into one float64
-plane, so that ``np.mean`` keeps the pairwise order of a whole frame. Each std
-is numpy's population std over a float64 (n, 3) copy, reproduced bit for bit
-by pass two: a 256-entry table of ``(v - mean)**2`` is indexed in pixel order
-and summed by ``np.cumsum``, the sequential order in which numpy reduces that
-copy along its first axis, each block from the running total carried into its
-first slot. Besides correctly rounded arithmetic, the features call only libm's
-``hypot`` and the pairwise sum of ``np.mean``; no float matmul enters them, so
-they do not depend on the BLAS kernel.
+The features take one pass over blocks of ``_BLOCK_ROWS`` rows. Integer
+counts of each channel's levels give the histograms, each mean S / n and each
+std sqrt(n Q - S^2) / n, with S and Q the exact sums of the levels and of their
+squares (exact while n Q < 2^53). The edge feature is ``np.sqrt`` of the exact
+int32 gx^2 + gy^2 of the luma, added in raster order by a ``np.cumsum`` carried
+from block to block. Each float step is correctly rounded, so the bytes do not
+depend on the CPU.
 
-Each curve point takes a set's accuracy and loss from one softmax. The two
-float matmuls of each training step go through BLAS, so the model and curve
-bytes depend on the BLAS kernel as well as on ``np.exp``.
+With two classes the softmax is one logistic unit on v = w1 - w0, c = b1 - b0.
+Training runs it on theta = (v, c) over feature rows ending in a 1, at step
+2 * learning_rate: from zero init, the softmax's own descent in exact
+arithmetic. The model is saved as softmax rows (-v/2, v/2) and bias
+(-c/2, c/2). Sums add in index order and each row takes one ``math.exp``: no
+matmul, BLAS or ``np.exp``, so model and curve bytes do not depend on numpy's
+or BLAS's kernels. Only libm's ``exp`` and ``log`` remain; glibc's may differ
+in the last bit between versions, and between its FMA and SSE2 variants.
 """
 
 from __future__ import annotations
@@ -36,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .raster import Image
 
 FEATURE_DIM = 55
 
-# Max per-axis Sobel response on 8-bit data is 4*255; the magnitude bound
-# normalizes the edge feature into [0, 1].
+# The Sobel magnitude bound on 8-bit data, 4*255 per axis: edge feature in [0, 1].
 _SOBEL_MAX = 1020.0 * math.sqrt(2.0)
 
 
@@ -70,8 +69,8 @@ class TrainConfig:
     eval_interval: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.iterations < 1 or self.eval_interval < 1:
             raise ValueError("batch_size, iterations, eval_interval must be >= 1")
 
@@ -88,8 +87,7 @@ class CurvePoint:
 _LEVELS = np.arange(256)
 # Each BT.601 weight times every 8-bit level, one row per channel (R, G, B).
 _LUMA = np.array([[0.299], [0.587], [0.114]]) * _LEVELS
-_ONE_HOT = np.eye(2)
-_BLOCK_ROWS = 24  # rows per block of extract_features; at 32 its peak passes two float64 planes
+_BLOCK_ROWS = 24  # rows per block of extract_features
 
 
 def extract_features(image: Image) -> np.ndarray:
@@ -100,36 +98,24 @@ def extract_features(image: Image) -> np.ndarray:
     n = h * w
     levels = np.empty((3, min(h, _BLOCK_ROWS + 2), w), np.intp)
     luma = np.empty(levels.shape[1:])
-    magnitude = np.empty((h, w))
+    roots = np.empty(min(h, _BLOCK_ROWS) * w)
     counts = np.zeros((3, 256), np.intp)
-
-    def cast(lo: int, hi: int) -> np.ndarray:  # the levels of rows lo:hi, channels first
-        block = levels[:, : hi - lo]
-        np.copyto(block, np.moveaxis(pixels[lo:hi], -1, 0))
-        return block
-
+    edge = 0.0
     for r0 in range(0, h, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, h)
         lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
-        block, inner, out = cast(lo, hi), slice(r0 - lo, r1 - lo), magnitude[r0:r1]
+        block, inner = levels[:, : hi - lo], slice(r0 - lo, r1 - lo)
+        np.copyto(block, np.moveaxis(pixels[lo:hi], -1, 0))
         for c in range(3):
             counts[c] += np.bincount(block[c, inner].ravel(), minlength=256)
-        gx, gy = _sobel(_luma(block, luma[: hi - lo]).astype(np.int16))
-        np.copyto(out, gx[inner])  # np.hypot of two int16 operands runs in float32
-        np.hypot(out, gy[inner], out=out)
-    edge = float(np.mean(magnitude)) / _SOBEL_MAX
-
-    means = counts @ _LEVELS / n
-    tables = np.square(_LEVELS - means[:, None])
-    sums = np.zeros(3)
-    run = np.empty(levels[0].size)
-    for r0 in range(0, h, _BLOCK_ROWS):
-        for c, (table, v) in enumerate(zip(tables, cast(r0, min(r0 + _BLOCK_ROWS, h)))):
-            part = table.take(v.ravel(), out=run[: v.size], mode="clip")
-            part[0] += sums[c]
-            sums[c] = np.cumsum(part, out=part)[-1]
+        gx, gy = (g[inner] for g in _sobel(_luma(block, luma[: hi - lo]).astype(np.int32)))
+        run = np.sqrt((gx * gx + gy * gy).ravel(), out=roots[: gx.size])
+        run[0] += edge
+        edge = np.cumsum(run, out=run)[-1]
+    sums, squares = counts @ _LEVELS, counts @ (_LEVELS * _LEVELS)  # exact integers
+    stds = [math.sqrt(n * q - s * s) / n / 255.0 for s, q in zip(sums.tolist(), squares.tolist())]
     histograms = counts.reshape(3, 16, 16).sum(axis=2) / n
-    return np.concatenate([histograms.ravel(), means / 255.0, np.sqrt(sums / n) / 255.0, [edge]])
+    return np.concatenate([histograms.ravel(), sums / n / 255.0, stds, [edge / n / _SOBEL_MAX]])
 
 
 def _luma(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -160,37 +146,45 @@ def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (benign, malignant) of one feature vector, from the
-    softmax that training uses."""
-    return _batch_probs(model.weights, model.bias, np.asarray(features, dtype=np.float64)[None])[0]
+    """Class probabilities (benign, malignant) of one feature vector: the
+    model's softmax, computed as the logistic unit that training runs."""
+    theta = np.append(model.weights[1] - model.weights[0], model.bias[1] - model.bias[0])
+    z = _logits(theta, np.append(np.asarray(features, dtype=np.float64), 1.0)[None])
+    return _sigmoids(np.concatenate([-z, z]))
 
 
-# These take the raw (weights, bias) arrays, so the training loop does not
-# build and validate a LinearProbeModel on every iteration. With two classes
-# the row max and the row sum are one elementwise op on the two columns.
-def _batch_probs(weights, bias, features: np.ndarray) -> np.ndarray:
-    probs = features @ weights.T
-    probs += bias
-    probs -= np.maximum(probs[:, :1], probs[:, 1:])
-    np.exp(probs, out=probs)
-    probs /= probs[:, :1] + probs[:, 1:]
-    return probs
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of the 2-D ``a``, added one row at a time in index
+    order, as ``np.cumsum`` is defined to."""
+    return np.cumsum(a, axis=0)[-1]
 
 
-def batch_scores(weights, bias, features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy over a batch, from one softmax."""
-    probs = _batch_probs(weights, bias, features)
-    accuracy = np.count_nonzero(probs.argmax(axis=1) == labels) / len(labels)
-    p_true = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
-    return accuracy, float(np.mean(-np.log(p_true)))
+def _logits(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """theta . r of each of the (m, d + 1) ``rows``, summed in feature order."""
+    return _sum_rows(np.multiply(rows.T, theta[:, None], order="C"))
 
 
-def batch_gradient(weights, bias, features: np.ndarray, labels: np.ndarray):
-    """Analytic gradient of the mean cross-entropy wrt (weights, bias)."""
-    delta = _batch_probs(weights, bias, features)
-    delta -= _ONE_HOT.take(labels, axis=0)
-    m = len(labels)
-    return delta.T @ features / m, np.add.reduce(delta, 0) / m
+def _sigmoids(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) of each t in ``z``, as 1 / (1 + e) or e / (1 + e)
+    from one ``math.exp`` of -|t| per row, which cannot overflow."""
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def batch_scores(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy over (m, d + 1) ``rows``: a positive
+    logit predicts malignant, and p(true label) is floored at 1e-12."""
+    z, malignant = _logits(theta, rows), labels == 1
+    p_true = np.maximum(_sigmoids(np.where(malignant, z, -z)), 1e-12)
+    loss = 0.0 - math.fsum(map(math.log, p_true.tolist()))  # 0 - x: a zero loss is 0, not -0
+    return np.count_nonzero((z > 0) == malignant) / len(z), loss / len(z)
+
+
+def batch_gradient(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient wrt theta of the mean cross-entropy over (m, d + 1) ``rows``."""
+    delta = _sigmoids(_logits(theta, rows))
+    delta -= labels
+    return _sum_rows(rows * delta[:, None]) / len(delta)
 
 
 def train_probe(
@@ -200,12 +194,13 @@ def train_probe(
     val_labels: np.ndarray,
     config: TrainConfig,
 ) -> tuple[LinearProbeModel, list[CurvePoint]]:
-    """Mini-batch gradient descent from zero init.
+    """Mini-batch gradient descent of the logistic unit from zero init.
 
-    Batches are consecutive chunks of a per-epoch shuffled order (seeded, so
-    the whole run is reproducible bit for bit). The curve is sampled every
-    eval_interval iterations and at the final iteration. Inputs are checked
-    before the first iteration.
+    A training set that fits in one batch is each batch, in index order, and
+    nothing is drawn; otherwise batches are consecutive chunks of an order that
+    a seeded ``dataset.Xoshiro256StarStar`` reshuffles every epoch. The curve is
+    sampled every eval_interval iterations and at the final iteration. Inputs
+    are checked before the first iteration.
     """
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
@@ -226,28 +221,29 @@ def train_probe(
         if len(bad):
             raise ValueError(f"{name} labels must be 0 or 1, got {bad[0]}")
 
-    weights = np.zeros((2, X.shape[1]))
-    bias = np.zeros(2)
-    rng = np.random.default_rng(config.seed)
-    n, batch, rate = len(X), config.batch_size, config.learning_rate
-    order = rng.permutation(n)
-    cursor = 0
+    rows, val_rows = (np.concatenate([a, np.ones((len(a), 1))], axis=1) for a in (X, Xv))
+    theta = np.zeros(rows.shape[1])
+    rng = dataset.Xoshiro256StarStar(config.seed)
+    n, batch, step = len(X), config.batch_size, 2 * config.learning_rate
+    order, cursor = list(range(n)), n
     curve = []
     for it in range(1, config.iterations + 1):
-        if cursor >= n:
-            order = rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + batch]
-        cursor += batch
-        grad_w, grad_b = batch_gradient(weights, bias, X.take(idx, axis=0), y.take(idx))
-        weights -= rate * grad_w
-        bias -= rate * grad_b
+        batch_rows, batch_labels = rows, y
+        if n > batch:
+            if cursor >= n:
+                dataset._shuffle(order, rng)
+                epoch, cursor = np.array(order), 0
+            idx = epoch[cursor : cursor + batch]
+            cursor += batch
+            batch_rows, batch_labels = rows.take(idx, axis=0), y.take(idx)
+        theta -= step * batch_gradient(theta, batch_rows, batch_labels)
         if it % config.eval_interval == 0 or it == config.iterations:
-            train_acc, train_xent = batch_scores(weights, bias, X, y)
-            val_acc, val_xent = batch_scores(weights, bias, Xv, yv) if len(Xv) else (math.nan, math.nan)
+            train_acc, train_xent = batch_scores(theta, rows, y)
+            val_acc, val_xent = batch_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)
             curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
 
-    return LinearProbeModel(weights, bias), curve
+    rows = np.stack([0.0 - theta / 2, theta / 2])  # 0 - x, so that a zero weight saves as 0, not -0
+    return LinearProbeModel(rows[:, :-1], rows[:, -1]), curve
 
 
 def format_model(model: LinearProbeModel) -> str:

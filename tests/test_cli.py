@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lesionprep import preprocess
+from lesionprep import cli, preprocess
 from lesionprep.cli import main
 from lesionprep.dataset import ManifestEntry, SplitConfig, format_manifest
 from lesionprep.preprocess import PreprocessConfig
@@ -317,6 +317,56 @@ class TestQuality:
                    "--pre-root", tmp_path / "nowhere") == 2
 
 
+class TestOutputCollisions:
+    """Two manifest paths that share a stem share their outputs; preprocess
+    and quality refuse them, naming both, before any image is read."""
+
+    @pytest.fixture
+    def colliding(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        write_image(data / "train" / "benign" / "a.ppm", seed=1, bright=True)
+        write_image(data / "train" / "benign" / "a.pnm", seed=2, bright=False)
+        write_image(tmp_path / "pre" / "train" / "benign" / "a.pre.ppm", seed=1, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\ntrain/benign/a.ppm,benign,train\n"
+                            "train/benign/a.pnm,benign,train\n")
+
+        def read(path):
+            raise AssertionError(f"read {path} before refusing the manifest")
+
+        monkeypatch.setattr(cli, "_load_image", read)
+        return manifest
+
+    def refused(self, caplog, manifest, root, *argv):
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run(*argv) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"{manifest}: paths 'train/benign/a.ppm' and 'train/benign/a.pnm' both map to "
+            f"{root / 'train' / 'benign' / 'a.pre.ppm'}")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_preprocess(self, tmp_path, caplog, colliding, jobs):
+        out = tmp_path / "out"
+        self.refused(caplog, colliding, out, "preprocess", "--manifest", colliding, "--images-root",
+                     tmp_path / "data", "--out-root", out, "--jobs", jobs)
+        assert not out.exists()
+
+    def test_quality(self, tmp_path, caplog, colliding):
+        report = tmp_path / "q.csv"
+        self.refused(caplog, colliding, tmp_path / "pre", "quality", "--manifest", colliding, "--images-root",
+                     tmp_path / "data", "--pre-root", tmp_path / "pre", "--out", report)
+        assert not report.exists()
+
+    def test_distinct_stems_beside_each_other_are_kept(self, dataset_root, tmp_path):
+        # a.ppm and a.b.ppm have the stems a and a.b
+        write_image(dataset_root / "train" / "benign" / "b0.x.ppm", seed=7, bright=True)
+        manifest = tmp_path / "m.csv"
+        run("split", "--root", dataset_root, "--seed", 1, "--out", manifest)
+        assert run("preprocess", "--manifest", manifest, "--images-root", dataset_root,
+                   "--out-root", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "train" / "benign" / "b0.x.pre.ppm").exists()
+
+
 class TestTrainProbe:
     def test_toy_run_writes_model_and_curve(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -434,6 +484,31 @@ class TestConfigFlags:
                        "--seed", 4, "--model-out", tmp_path / "model.txt",
                        "--curve-out", tmp_path / "curve.csv", *flags) == 0
         assert f"train config: {expected}" in caplog.messages
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("preprocess", "--sharpen-sigma", "sharpen_sigma must be finite"),
+        ("preprocess", "--sharpen-amount", "sharpen_amount must be finite"),
+        ("preprocess", "--max-thinness", "max_thinness must be in (0, 1]"),
+        ("train-probe", "--learning-rate", "learning_rate must be finite and > 0"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_2_before_any_image(self, dataset_root, tmp_path, monkeypatch, caplog,
+                                                       command, flag, message, value):
+        manifest = tmp_path / "m.csv"
+        run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
+
+        def read(path):
+            raise AssertionError(f"read {path} before refusing {flag} {value}")
+
+        monkeypatch.setattr(cli, "_load_image", read)
+        outputs = {"preprocess": ["--out-root", tmp_path / "out"],
+                   "train-probe": ["--seed", 1, "--model-out", tmp_path / "model.txt",
+                                   "--curve-out", tmp_path / "curve.csv"]}[command]
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run(command, "--manifest", manifest, "--images-root", dataset_root,
+                       *outputs, f"{flag}={value}") == 2
+        assert caplog.records[-1].getMessage() == f"{message}, got {float(value)}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "m.csv"]
 
 
 class TestEvalAndReport:

@@ -1,4 +1,5 @@
-"""Byte-level goldens of what ``preprocess`` writes and of the probe features.
+"""Byte-level goldens of what ``preprocess`` writes, of the probe features and
+of a probe trained on them.
 
 The two 224x224 inputs under ``data/golden/`` were written once with
 ``bench/corpus.py``, whose rasters use only IEEE-exact arithmetic:
@@ -7,21 +8,35 @@ crossing strokes, and ``clean.ppm`` is ``encode_ppm(render_image(1, 1, 0))``,
 one with none. ``digests.json`` holds the sha256 of the ``.pre.ppm`` and
 ``.mask.pgm`` bytes the CLI worker writes for each input under each config,
 and of ``extract_features(...).tobytes()`` for the raw and the refined image.
+Under ``probe`` it holds the sha256 of ``format_model`` and ``format_curve``
+of a probe trained on those features with ``TRAIN_CONFIG``.
+
+The same table must come out when numpy's AVX-512 kernels are switched off
+and under two other OpenBLAS kernel sets; each setting runs in a fresh
+interpreter. libm's ``exp`` and ``log``, which the probe calls through
+``math``, are out of scope: glibc's may differ in the last bit between
+versions, and between the FMA and SSE2 variants it picks by CPU.
 
 When outputs are meant to change, re-pin with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lesionprep
 from lesionprep.cli import _load_image, _preprocess_one
 from lesionprep.preprocess import PreprocessConfig
-from lesionprep.probe import extract_features
+from lesionprep.probe import TrainConfig, extract_features, format_curve, format_model, train_probe
 from lesionprep.raster import decode_netpbm
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -34,29 +49,70 @@ CONFIGS = {
     "se_length=7": {"se_length": 7},
     "hair_removal_enabled=False": {"hair_removal_enabled": False},
 }
+# trained on the refined features, hairy as malignant, and scored on the raw
+# ones; 12 rows in batches of 5, so the seeded shuffle runs
+TRAIN_CONFIG = TrainConfig(seed=1, batch_size=5, iterations=300, eval_interval=25)
+# (variable, value): numpy's AVX-512 kernels off, and two OpenBLAS kernel sets
+SETTINGS = [("NPY_DISABLE_CPU_FEATURES", "X86_V4"), ("OPENBLAS_CORETYPE", "Haswell"),
+            ("OPENBLAS_CORETYPE", "Prescott")]
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(name: str, fields: dict, out_dir: Path) -> dict:
+def refine(name: str, fields: dict, out_dir: Path):
     """Preprocesses one golden input in ``out_dir`` as the CLI does; returns
-    the digests of its two output files, of the refined image's features and
-    the masked pixel count."""
+    the digests of its two output files, the masked pixel count and the
+    refined image's features."""
     src = GOLDEN / f"{name}.ppm"
     pre, mask = out_dir / f"{name}.pre.ppm", out_dir / f"{name}.mask.pgm"
     _, masked = _preprocess_one((name, str(src), str(pre), str(mask), PreprocessConfig(**fields)))
-    return {
-        "pre_ppm": sha(pre.read_bytes()),
-        "mask_pgm": sha(mask.read_bytes()),
-        "refined_features": sha(extract_features(decode_netpbm(pre.read_bytes())).tobytes()),
-        "masked_pixels": masked,
-    }
+    features = extract_features(decode_netpbm(pre.read_bytes()))
+    return {"pre_ppm": sha(pre.read_bytes()), "mask_pgm": sha(mask.read_bytes()), "masked_pixels": masked}, features
 
 
-def raw_features(name: str) -> str:
-    return sha(extract_features(_load_image(GOLDEN / f"{name}.ppm")).tobytes())
+def table() -> dict:
+    """Every digest that ``digests.json`` pins, computed afresh."""
+    out, rows, labels, raws = {}, [], [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in INPUTS:
+            raws.append(extract_features(_load_image(GOLDEN / f"{name}.ppm")))
+            out[name] = {"raw_features": sha(raws[-1].tobytes())}
+            for config, fields in CONFIGS.items():
+                digests, features = refine(name, fields, Path(tmp))
+                out[name][config] = digests | {"refined_features": sha(features.tobytes())}
+                rows.append(features)
+                labels.append(int(name == "hairy"))
+    model, curve = train_probe(np.array(rows), np.array(labels), np.array(raws), np.array([1, 0]), TRAIN_CONFIG)
+    out["probe"] = {"model": sha(format_model(model).encode()), "curve": sha(format_curve(curve).encode())}
+    return out
+
+
+def openblas_core():
+    """The kernel set that numpy's OpenBLAS runs, or None where it cannot be
+    read: the library is found among this process's mappings."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    for lib in sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1]}):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(lib), name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def numpy_has(feature: str) -> bool:
+    """Whether numpy dispatches to ``feature``'s kernels in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get(feature))
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +120,24 @@ def pinned():
     return json.loads((GOLDEN / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("name", INPUTS)
-def test_raw_features(pinned, name):
-    assert raw_features(name) == pinned[name]["raw_features"]
+@pytest.fixture(scope="module")
+def computed():
+    return table()
+
+
+def test_raw_features(pinned, computed):
+    assert {name: computed[name]["raw_features"] for name in INPUTS} == \
+        {name: pinned[name]["raw_features"] for name in INPUTS}
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("name", INPUTS)
-def test_preprocess_outputs(pinned, tmp_path, name, config):
-    assert digests(name, CONFIGS[config], tmp_path) == pinned[name][config]
+def test_preprocess_outputs(pinned, computed, name, config):
+    assert computed[name][config] == pinned[name][config]
+
+
+def test_trained_probe(pinned, computed):
+    assert computed["probe"] == pinned["probe"]
 
 
 def test_hairy_default_mask_exercises_labelling(pinned):
@@ -82,11 +147,37 @@ def test_hairy_default_mask_exercises_labelling(pinned):
     assert pinned["hairy"]["hair_removal_enabled=False"]["masked_pixels"] == 0
 
 
+@pytest.fixture(scope="module")
+def elsewhere(tmp_path_factory):
+    """The table and the CPU dispatch that a fresh interpreter reports under
+    each of SETTINGS, the interpreters run side by side."""
+    tmp = tmp_path_factory.mktemp("settings")
+    path = os.pathsep.join(filter(None, [str(Path(lesionprep.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for var, value in SETTINGS:
+        out = tmp / f"{var}={value}.json"
+        env = dict(os.environ, PYTHONPATH=path, **{var: value})
+        runs[var, value] = out, subprocess.Popen([sys.executable, __file__, "--to", str(out)], env=env)
+    assert [proc.wait(timeout=300) for _, proc in runs.values()] == [0] * len(runs)
+    return {key: json.loads(out.read_text()) for key, (out, _) in runs.items()}
+
+
+@pytest.mark.parametrize("var, value", SETTINGS, ids=[f"{var}={value}" for var, value in SETTINGS])
+def test_digests_hold_under_other_cpu_kernels(pinned, elsewhere, var, value):
+    run = elsewhere[var, value]
+    if var == "NPY_DISABLE_CPU_FEATURES":
+        if not numpy_has(value):
+            pytest.skip(f"this CPU has no {value} kernels for numpy to switch off")
+        assert run["numpy_" + value] is False
+    elif run["openblas"] is None or run["openblas"] == openblas_core():
+        pytest.skip(f"{var}={value} leaves numpy's OpenBLAS on its {run['openblas']} kernels "
+                    "(a build without DYNAMIC_ARCH, or this CPU's own kernel set)")
+    assert run["table"] == pinned
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        table = {
-            name: {"raw_features": raw_features(name)}
-            | {config: digests(name, fields, Path(tmp)) for config, fields in CONFIGS.items()}
-            for name in INPUTS
-        }
-    (GOLDEN / "digests.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    if sys.argv[1:2] == ["--to"]:  # what test_digests_hold_under_other_cpu_kernels reads
+        report = {"table": table(), "openblas": openblas_core(), "numpy_X86_V4": numpy_has("X86_V4")}
+        Path(sys.argv[2]).write_text(json.dumps(report))
+    else:
+        (GOLDEN / "digests.json").write_text(json.dumps(table(), indent=2, sort_keys=True) + "\n")

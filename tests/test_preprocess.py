@@ -817,6 +817,15 @@ def test_config_validation():
         PreprocessConfig(sharpen_sigma=-1.0)
 
 
+@pytest.mark.parametrize("field, message", [("sharpen_sigma", "must be finite"),
+                                            ("sharpen_amount", "must be finite"),
+                                            ("max_thinness", r"must be in \(0, 1\]")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_non_finite_floats(field, message, value):
+    with pytest.raises(ValueError, match=rf"^{field} {message}, got {value}$"):
+        PreprocessConfig(**{field: value})
+
+
 def test_hair_mask_equality_compares_bits():
     bits = np.zeros((4, 5), bool)
     bits[1, 2] = True

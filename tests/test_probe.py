@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lesionprep import probe
+from lesionprep.dataset import Xoshiro256StarStar, _shuffle
 from lesionprep.probe import (
     FEATURE_DIM,
     CurvePoint,
@@ -34,27 +36,37 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return -math.log(max(float(probabilities[true_label]), 1e-12))
 
 
+def rows_of(features) -> np.ndarray:
+    """(m, d) features as the (m, d + 1) rows the logistic unit reads: each
+    ends in a 1, the input of the bias."""
+    X = np.asarray(features, dtype=np.float64)
+    return np.concatenate([X, np.ones((len(X), 1))], axis=1)
+
+
+def theta_of(model: LinearProbeModel) -> np.ndarray:
+    """The logistic unit (w1 - w0, b1 - b0) that a 2-class softmax model equals."""
+    return np.append(model.weights[1] - model.weights[0], model.bias[1] - model.bias[0])
+
+
 def gradient_check(
     model: LinearProbeModel,
     features: np.ndarray,
     labels: np.ndarray,
     step: float = 1e-5,
 ) -> float:
-    """Max relative error between the analytic gradient and central finite
-    differences over all parameters. Relative error uses a 1e-6 floor so a
-    near-zero gradient does not blow up the ratio."""
-    X = np.asarray(features, dtype=np.float64)
+    """Max relative error between the analytic gradient that train_probe
+    steps along and central finite differences of the mean cross-entropy,
+    over every parameter of the model's logistic unit. Relative error uses a
+    1e-6 floor so a near-zero gradient does not blow up the ratio."""
+    rows = rows_of(features)
     y = np.asarray(labels, dtype=np.int64)
-    if len(X) == 0:
+    if len(rows) == 0:
         raise ValueError("batch must be nonempty")
-    grad_w, grad_b = batch_gradient(model.weights, model.bias, X, y)
-    analytic = np.concatenate([grad_w.ravel(), grad_b])
-
-    theta = np.concatenate([model.weights.ravel(), model.bias])
-    d = model.weights.shape[1]
+    theta = theta_of(model)
+    analytic = batch_gradient(theta, rows, y)
 
     def loss_at(vec: np.ndarray) -> float:
-        return batch_scores(vec[: 2 * d].reshape(2, d), vec[2 * d :], X, y)[1]
+        return batch_scores(vec, rows, y)[1]
 
     numeric = np.empty_like(theta)
     for i in range(len(theta)):
@@ -147,9 +159,29 @@ def sobel_oracle(gray):
 
 
 def features_oracle(image: Image) -> np.ndarray:
-    """The whole-array descriptor that extract_features replaced: numpy's
-    mean and std over a float64 (n, 3) copy of the pixels, the float64 luma
-    and scipy's Sobel."""
+    """The descriptor by its definition, one pixel at a time where it sums:
+    Python-integer sums S and Q of each channel's levels and their squares,
+    each mean S / n and std sqrt(n Q - S^2) / n, and the sum in raster order
+    of math.sqrt(gx^2 + gy^2) over scipy's Sobel of the float64 luma."""
+    pixels = image.pixels
+    n = pixels.shape[0] * pixels.shape[1]
+    parts = [np.bincount((pixels[:, :, c] // 16).ravel(), minlength=16) / n for c in range(3)]
+    channels = [pixels[:, :, c].ravel().tolist() for c in range(3)]
+    sums = [sum(v) for v in channels]
+    squares = [sum(x * x for x in v) for v in channels]
+    stds = [math.sqrt(n * q - s * s) / n / 255.0 for s, q in zip(sums, squares)]
+    luma = luma_oracle(pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2])
+    gx, gy = sobel_oracle(luma.astype(np.float64))
+    edge = 0.0
+    for square in (gx * gx + gy * gy).ravel().tolist():
+        edge += math.sqrt(square)
+    return np.concatenate(parts + [[s / n / 255.0 for s in sums], stds, [edge / n / (1020.0 * math.sqrt(2.0))]])
+
+
+def float_features_oracle(image: Image) -> np.ndarray:
+    """The whole-array float descriptor that the exact one stands for: numpy's
+    mean and std over a float64 (n, 3) copy of the pixels, and the mean of
+    np.hypot over scipy's Sobel of the float64 luma."""
     pixels = image.pixels
     n = pixels.shape[0] * pixels.shape[1]
     parts = [np.bincount((pixels[:, :, c] // 16).ravel(), minlength=16) / n for c in range(3)]
@@ -158,6 +190,14 @@ def features_oracle(image: Image) -> np.ndarray:
     gx, gy = sobel_oracle(luma.astype(np.float64))
     edge = float(np.mean(np.hypot(gx, gy))) / (1020.0 * math.sqrt(2.0))
     return np.concatenate(parts + [flat.mean(axis=0) / 255.0, flat.std(axis=0) / 255.0, [edge]])
+
+
+def assert_matches_oracles(image: Image):
+    """extract_features equals the exact oracle byte for byte, and the float
+    descriptor within 1e-12 relative."""
+    got = extract_features(image)
+    assert got.tobytes() == features_oracle(image).tobytes()
+    np.testing.assert_allclose(got, float_features_oracle(image), rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -173,9 +213,9 @@ def seeded_arrays(draw):
 
 @st.composite
 def two_valued_arrays(draw):
-    """Images whose channels hold only two distinct levels, in any mix: the
-    std's squared deviations then take two values, so the order in which
-    they are summed decides the last bits."""
+    """Images whose channels hold only two distinct levels, in any mix: a
+    float std's squared deviations then take two values, so the order in
+    which they are summed decides its last bits, and n Q - S^2 can be 0."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     low, high = draw(st.lists(st.integers(0, 255), min_size=2, max_size=2, unique=True))
     density = draw(st.floats(0, 1))
@@ -183,67 +223,100 @@ def two_valued_arrays(draw):
     return np.where(picks, high, low).astype(np.uint8)
 
 
-# train_probe as it was before its lean loop: numpy's keepdims max and sum,
-# a fancy-indexed gradient, delta.mean and four softmaxes per curve point.
-def _oracle_probs(weights, bias, features):
-    logits = features @ weights.T + bias
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+def sigmoid_oracle(t: float) -> float:
+    """1 / (1 + exp(-t)), through exp(-|t|) so that nothing overflows."""
+    if t >= 0:
+        return 1.0 / (1.0 + math.exp(-t))
+    return math.exp(t) / (1.0 + math.exp(t))
 
 
-def _oracle_loss(weights, bias, features, labels):
-    probs = _oracle_probs(weights, bias, features)
-    p_true = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
-    return float(np.mean(-np.log(p_true)))
-
-
-def _oracle_gradient(weights, bias, features, labels):
-    delta = _oracle_probs(weights, bias, features)
-    delta[np.arange(len(labels)), labels] -= 1.0
-    return delta.T @ features / len(labels), delta.mean(axis=0)
-
-
-def _oracle_accuracy(weights, bias, features, labels):
-    preds = _oracle_probs(weights, bias, features).argmax(axis=1)
-    return float(np.mean(preds == labels))
+def batches(n: int, config: TrainConfig):
+    """The row indices of each iteration's batch, as train_probe documents
+    them: the whole set in index order while it fits in one batch, else
+    consecutive chunks of an order reshuffled every epoch."""
+    rng, order, cursor = Xoshiro256StarStar(config.seed), list(range(n)), n
+    for _ in range(config.iterations):
+        if n <= config.batch_size:
+            yield order
+            continue
+        if cursor >= n:
+            _shuffle(order, rng)
+            cursor = 0
+        yield order[cursor : cursor + config.batch_size]
+        cursor += config.batch_size
 
 
 def train_probe_oracle(train_features, train_labels, val_features, val_labels, config):
+    """The logistic unit's descent one scalar at a time, in Python floats:
+    each logit is summed feature by feature and each gradient component row by
+    row, in index order; the mean loss is the exact sum over m, rounded once."""
+    X = [row + [1.0] for row in np.asarray(train_features, dtype=np.float64).tolist()]
+    dim = np.shape(train_features)[1]
+    Xv = [row + [1.0] for row in np.asarray(val_features, dtype=np.float64).reshape(-1, dim).tolist()]
+    y, yv = [int(v) for v in train_labels], [int(v) for v in val_labels]
+    theta = [0.0] * len(X[0])
+
+    def logit(row):
+        total = row[0] * theta[0]
+        for x, t in zip(row[1:], theta[1:]):
+            total += x * t
+        return total
+
+    def scores(rows, labels):
+        if not rows:
+            return math.nan, math.nan
+        z = [logit(row) for row in rows]
+        hits = sum((t > 0) == (label == 1) for t, label in zip(z, labels))
+        losses = [-math.log(max(sigmoid_oracle(t if label else -t), 1e-12)) for t, label in zip(z, labels)]
+        return hits / len(rows), float(sum(map(Fraction, losses))) / len(rows)
+
+    curve = []
+    for it, idx in enumerate(batches(len(X), config), start=1):
+        delta = [sigmoid_oracle(logit(X[i])) - y[i] for i in idx]
+        for k in range(len(theta)):
+            total = delta[0] * X[idx[0]][k]
+            for dj, i in zip(delta[1:], idx[1:]):
+                total += dj * X[i][k]
+            theta[k] -= 2 * config.learning_rate * (total / len(idx))
+        if it % config.eval_interval == 0 or it == config.iterations:
+            (ta, tx), (va, vx) = scores(X, y), scores(Xv, yv)
+            curve.append(CurvePoint(it, ta, va, tx, vx))
+    half = [t / 2 for t in theta]
+    return LinearProbeModel([[0.0 - h for h in half[:-1]], half[:-1]], [0.0 - half[-1], half[-1]]), curve
+
+
+def softmax_oracle(train_features, train_labels, val_features, val_labels, config):
+    """The zero-init two-class softmax layer that the logistic unit stands
+    for, trained on the same batches with numpy's keepdims softmax and both
+    rows' gradients, as train_probe ran before it became one unit."""
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
     Xv = np.asarray(val_features, dtype=np.float64).reshape(-1, X.shape[1])
     yv = np.asarray(val_labels, dtype=np.int64)
 
-    weights = np.zeros((2, X.shape[1]))
-    bias = np.zeros(2)
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(X))
-    cursor = 0
+    def probs(features):
+        logits = features @ weights.T + bias
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def scores(features, labels):
+        if not len(features):
+            return math.nan, math.nan
+        p = probs(features)
+        p_true = np.clip(p[np.arange(len(labels)), labels], 1e-12, None)
+        return float(np.mean(p.argmax(axis=1) == labels)), float(np.mean(-np.log(p_true)))
+
+    weights, bias = np.zeros((2, X.shape[1])), np.zeros(2)
     curve = []
-
-    def record(iteration):
-        if len(Xv):
-            va, vx = _oracle_accuracy(weights, bias, Xv, yv), _oracle_loss(weights, bias, Xv, yv)
-        else:
-            va, vx = math.nan, math.nan
-        curve.append(
-            CurvePoint(iteration, _oracle_accuracy(weights, bias, X, y), va,
-                       _oracle_loss(weights, bias, X, y), vx)
-        )
-
-    for it in range(1, config.iterations + 1):
-        if cursor >= len(X):
-            order = rng.permutation(len(X))
-            cursor = 0
-        idx = order[cursor : cursor + config.batch_size]
-        cursor += config.batch_size
-        grad_w, grad_b = _oracle_gradient(weights, bias, X[idx], y[idx])
-        weights -= config.learning_rate * grad_w
-        bias -= config.learning_rate * grad_b
+    for it, idx in enumerate(batches(len(X), config), start=1):
+        delta = probs(X[idx])
+        delta[np.arange(len(idx)), y[idx]] -= 1.0
+        weights -= config.learning_rate * (delta.T @ X[idx] / len(idx))
+        bias -= config.learning_rate * delta.mean(axis=0)
         if it % config.eval_interval == 0 or it == config.iterations:
-            record(it)
-
+            (ta, tx), (va, vx) = scores(X, y), scores(Xv, yv)
+            curve.append(CurvePoint(it, ta, va, tx, vx))
     return LinearProbeModel(weights, bias), curve
 
 
@@ -344,8 +417,7 @@ class TestExtractFeatures:
     @example(np.full((1, 40, 3), 255, np.uint8))
     @example(np.arange(120, dtype=np.uint8).reshape(40, 1, 3))
     def test_matches_oracle_byte_for_byte(self, pixels):
-        img = Image(pixels)
-        assert extract_features(img).tobytes() == features_oracle(img).tobytes()
+        assert_matches_oracles(Image(pixels))
 
     @settings(deadline=None, max_examples=75)
     @given(two_valued_arrays())
@@ -353,22 +425,21 @@ class TestExtractFeatures:
     @example(np.resize(np.array([7, 7, 200], np.uint8), (40, 1, 3)))
     @example(np.resize(np.array([0, 255, 255], np.uint8), (2, 1, 3)))
     def test_two_valued_images_match_oracle_byte_for_byte(self, pixels):
-        img = Image(pixels)
-        assert extract_features(img).tobytes() == features_oracle(img).tobytes()
+        assert_matches_oracles(Image(pixels))
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])
     def test_every_block_height_matches_oracle_byte_for_byte(self, monkeypatch, rng, rows):
         # heights below, at and across block edges, up to a 1-row last block
         monkeypatch.setattr(probe, "_BLOCK_ROWS", rows)
         for height in range(1, 3 * rows + 2):
-            img = Image(rng.integers(0, 256, size=(height, 1 + height % 4, 3), dtype=np.uint8))
-            assert extract_features(img).tobytes() == features_oracle(img).tobytes(), height
+            assert_matches_oracles(Image(rng.integers(0, 256, size=(height, 1 + height % 4, 3), dtype=np.uint8)))
 
-    def test_allocates_at_most_two_float64_planes(self):
+    def test_allocates_at_most_1_2_float64_planes(self):
         # one float64 plane of the 224x224 golden image is 401,408 bytes; the
-        # magnitude plane is one of them
+        # peak, about 480 KB, is the buffers and temporaries of one 26-row
+        # block (levels in intp, luma, roots, Sobel), and no whole-frame plane
         img = golden_image("hairy")
-        assert traced_peak(lambda: extract_features(img)) <= 2 * img.height * img.width * 8
+        assert traced_peak(lambda: extract_features(img)) <= 1.2 * img.height * img.width * 8
 
 
 class TestSoftmax:
@@ -428,18 +499,24 @@ class TestGradientCheck:
         X = np.tile(np.array([[0.3, 0.7]]), (2, 1))
         y = np.array([0, 1])
         model = zero_model(2)
-        gw, gb = batch_gradient(model.weights, model.bias, X, y)
-        assert np.abs(gw).max() < 1e-8 and np.abs(gb).max() < 1e-8
+        assert batch_gradient(theta_of(model), rows_of(X), y).tolist() == [0.0, 0.0, 0.0]
         assert gradient_check(model, X, y) < 1e-5
 
     def test_duplicating_batch_keeps_mean_gradient(self, rng):
-        w, b = rng.normal(size=(2, 3)), rng.normal(size=2)
+        theta = rng.normal(size=4)
         X = rng.normal(size=(5, 3))
         y = rng.integers(0, 2, size=5)
-        gw1, gb1 = batch_gradient(w, b, X, y)
-        gw2, gb2 = batch_gradient(w, b, np.vstack([X, X]), np.concatenate([y, y]))
-        assert gw1 == pytest.approx(gw2)
-        assert gb1 == pytest.approx(gb2)
+        once = batch_gradient(theta, rows_of(X), y)
+        twice = batch_gradient(theta, rows_of(np.vstack([X, X])), np.concatenate([y, y]))
+        assert once == pytest.approx(twice)
+
+    def test_one_row_and_one_column_sum_in_index_order(self):
+        # these values sum to 1 in index order; numpy's pairwise reduce of a
+        # single column gives 7
+        theta = np.array([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16, 1.0])
+        assert probe._logits(theta, np.ones((1, 10))).tolist() == [1.0]
+        rows = theta[:, None].copy()
+        assert probe._sum_rows(rows).tolist() == [1.0]
 
 
 class TestTraining:
@@ -497,6 +574,41 @@ class TestTraining:
     @example((random_training_set(11, 24, 55, 6), TrainConfig(seed=12, iterations=300)))
     def test_matches_oracle_byte_for_byte(self, run):
         assert_trains_like_oracle(*run)
+
+    @pytest.mark.parametrize("seed, n, batch", [(1, 22, 32), (2, 9, 32), (3, 40, 8)],
+                             ids=["bench-hairy", "bench-dense", "shuffled"])
+    def test_matches_two_class_softmax_within_rounding(self, seed, n, batch):
+        # the unit equals the softmax in exact arithmetic, so the two differ
+        # only by rounding: measured up to 5.4e-16 of the largest weight and
+        # 2.2e-15 relative on the curve over 1000-5000 iterations; the bounds
+        # leave a 400-fold margin and still catch a wrong step or sign
+        data = random_training_set(seed, n, 55, 6)
+        config = TrainConfig(seed=seed, batch_size=batch, iterations=1000, eval_interval=50)
+        model, curve = train_probe(*data, config)
+        want, want_curve = softmax_oracle(*data, config)
+        scale = np.abs(want.weights).max()
+        assert np.abs(model.weights - want.weights).max() <= 1e-12 * scale
+        assert np.abs(model.bias - want.bias).max() <= 1e-12 * scale
+        for got, ref in zip(curve, want_curve):
+            assert (got.iteration, got.train_accuracy, got.val_accuracy) == \
+                (ref.iteration, ref.train_accuracy, ref.val_accuracy)
+            assert got.train_cross_entropy == pytest.approx(ref.train_cross_entropy, rel=1e-12)
+            assert got.val_cross_entropy == pytest.approx(ref.val_cross_entropy, rel=1e-12)
+
+    def test_a_set_within_one_batch_draws_nothing(self, rng, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drew a batch order for a set that fits in one batch")
+
+        monkeypatch.setattr(probe.dataset, "_shuffle", drawn)
+        X, y = make_blobs(rng, n=32)
+        train_probe(X, y, X, y, TrainConfig(seed=3, batch_size=32, iterations=20))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match=rf"^learning_rate must be finite and > 0, got {rate}$"):
+            TrainConfig(seed=0, learning_rate=rate)
 
 
 class TestTrainingInputChecks:
@@ -561,4 +673,13 @@ class TestPersistence:
         expected = np.mean(
             [cross_entropy(softmax_predict(model, x), label) for x, label in zip(X, y)]
         )
-        assert batch_scores(model.weights, model.bias, X, y)[1] == pytest.approx(expected, rel=1e-12)
+        assert batch_scores(theta_of(model), rows_of(X), y)[1] == pytest.approx(expected, rel=1e-12)
+
+    def test_saved_rows_are_opposite_halves(self, rng):
+        # a feature that is 0 in every row keeps a zero weight, saved as 0, not -0
+        X = np.column_stack([rng.uniform(0, 1, (10, 3)), np.zeros(10)])
+        model, _ = train_probe(X, rng.integers(0, 2, 10), X[:0], np.zeros(0, int),
+                               TrainConfig(seed=1, iterations=50))
+        assert np.array_equal(model.weights[0], 0.0 - model.weights[1])
+        assert model.bias[0] == -model.bias[1] != 0
+        assert model.weights[1, 3] == 0 and "-0" not in format_model(model).split()

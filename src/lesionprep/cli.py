@@ -241,11 +241,12 @@ def cmd_train_probe(args) -> int:
     config = _config(probe.TrainConfig, args)
     log.info("train config: %s", config)
     entries = _read_entries(args.manifest)
-    images_root = Path(args.images_root)
-    X_train, y_train = _features_for([e for e in entries if e.split == "train"], images_root)
-    X_val, y_val = _features_for([e for e in entries if e.split == "val"], images_root)
-    if len(X_train) == 0:
+    train = [e for e in entries if e.split == "train"]
+    if not train:
         raise DataError("manifest has no train entries")
+    images_root = Path(args.images_root)
+    X_train, y_train = _features_for(train, images_root)
+    X_val, y_val = _features_for([e for e in entries if e.split == "val"], images_root)
     model, curve = probe.train_probe(X_train, y_train, X_val, y_val, config)
     _write_text(args.model_out, probe.format_model(model))
     _write_text(args.curve_out, probe.format_curve(curve))

@@ -88,12 +88,11 @@ class Xoshiro256StarStar:
             if r <= limit:
                 return r % n
 
-
-def _shuffle(items: list, rng: Xoshiro256StarStar) -> None:
-    """In-place Fisher-Yates."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates: len(items) - 1 draws of ``below``."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def scan_dataset(root: str | Path) -> list[ManifestEntry]:
@@ -150,7 +149,7 @@ def split_train_val(entries: Sequence[ManifestEntry], config: SplitConfig) -> li
         group = sorted((e for e in entries if e.label == label), key=lambda e: e.path)
         if not group:
             continue
-        _shuffle(group, rng)
+        rng.shuffle(group)
         n_train = int(len(group) * config.train_fraction)
         for i, e in enumerate(group):
             out.append(

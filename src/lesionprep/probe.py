@@ -21,11 +21,14 @@ depend on the CPU.
 With two classes the softmax is one logistic unit on v = w1 - w0, c = b1 - b0.
 Training runs it on theta = (v, c) over feature rows ending in a 1, at step
 2 * learning_rate: from zero init, the softmax's own descent in exact
-arithmetic. The model is saved as softmax rows (-v/2, v/2) and bias
-(-c/2, c/2). Sums add in index order and each row takes one ``math.exp``: no
-matmul, BLAS or ``np.exp``, so model and curve bytes do not depend on numpy's
-or BLAS's kernels. Only libm's ``exp`` and ``log`` remain; glibc's may differ
-in the last bit between versions, and between its FMA and SSE2 variants.
+arithmetic. The rows are permuted once per run by the package's seeded
+xoshiro256**, and each batch is the next window of min(batch_size, n) rows of
+that permutation, wrapping from its end to its start. The model is saved as
+softmax rows (-v/2, v/2) and bias (-c/2, c/2). Sums add in index order and
+each row takes one ``math.exp``: no matmul, BLAS or ``np.exp``, so model and
+curve bytes do not depend on numpy's or BLAS's kernels. Only libm's ``exp``
+and ``log`` remain; glibc's may differ in the last bit between versions, and
+between its FMA and SSE2 variants.
 """
 
 from __future__ import annotations
@@ -196,11 +199,11 @@ def train_probe(
 ) -> tuple[LinearProbeModel, list[CurvePoint]]:
     """Mini-batch gradient descent of the logistic unit from zero init.
 
-    A training set that fits in one batch is each batch, in index order, and
-    nothing is drawn; otherwise batches are consecutive chunks of an order that
-    a seeded ``dataset.Xoshiro256StarStar`` reshuffles every epoch. The curve is
-    sampled every eval_interval iterations and at the final iteration. Inputs
-    are checked before the first iteration.
+    A seeded ``dataset.Xoshiro256StarStar`` permutes the n training rows once
+    per run, n - 1 draws in all. Batch k is the window of m = min(batch_size,
+    n) rows of that permutation from position k * m mod n, wrapping past its
+    end to its start. The curve is sampled every eval_interval iterations and
+    at the final iteration. Inputs are checked before the first iteration.
     """
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
@@ -222,21 +225,17 @@ def train_probe(
             raise ValueError(f"{name} labels must be 0 or 1, got {bad[0]}")
 
     rows, val_rows = (np.concatenate([a, np.ones((len(a), 1))], axis=1) for a in (X, Xv))
+    n, m, step = len(X), min(config.batch_size, len(X)), 2 * config.learning_rate
+    perm = list(range(n))
+    dataset.Xoshiro256StarStar(config.seed).shuffle(perm)
+    ring = perm + perm[: m - 1]  # every window is a slice of it, wrapped or not
+    ring_rows, ring_labels = rows[ring], y[ring]
     theta = np.zeros(rows.shape[1])
-    rng = dataset.Xoshiro256StarStar(config.seed)
-    n, batch, step = len(X), config.batch_size, 2 * config.learning_rate
-    order, cursor = list(range(n)), n
     curve = []
     for it in range(1, config.iterations + 1):
-        batch_rows, batch_labels = rows, y
-        if n > batch:
-            if cursor >= n:
-                dataset._shuffle(order, rng)
-                epoch, cursor = np.array(order), 0
-            idx = epoch[cursor : cursor + batch]
-            cursor += batch
-            batch_rows, batch_labels = rows.take(idx, axis=0), y.take(idx)
-        theta -= step * batch_gradient(theta, batch_rows, batch_labels)
+        start = (it - 1) * m % n
+        window = slice(start, start + m)
+        theta -= step * batch_gradient(theta, ring_rows[window], ring_labels[window])
         if it % config.eval_interval == 0 or it == config.iterations:
             train_acc, train_xent = batch_scores(theta, rows, y)
             val_acc, val_xent = batch_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)

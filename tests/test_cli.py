@@ -417,6 +417,16 @@ class TestTrainProbe:
         assert outs[0] == outs[1]
 
 
+    def test_no_train_entries_is_refused_before_any_image_is_read(self, tmp_path, caplog):
+        # the val image does not exist: reading it would fail with another message
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(format_manifest([ManifestEntry("train/benign/gone.ppm", "benign", "val")]))
+        with caplog.at_level(logging.ERROR, logger="lesionprep"):
+            assert run("train-probe", "--manifest", manifest, "--images-root", tmp_path, "--seed", 1,
+                       "--model-out", tmp_path / "model.txt", "--curve-out", tmp_path / "curve.csv") == 2
+        assert caplog.records[-1].getMessage() == "manifest has no train entries"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
     def test_failed_write_keeps_the_old_model(self, dataset_root, tmp_path, monkeypatch):
         manifest = tmp_path / "m.csv"
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)

@@ -254,3 +254,12 @@ class TestRng:
         rng = Xoshiro256StarStar(5)
         draws = [rng.below(10) for _ in range(1000)]
         assert set(draws) == set(range(10))
+
+    def test_shuffle_is_fisher_yates_on_below(self):
+        rng, want = Xoshiro256StarStar(9), list(range(30))
+        for i in range(29, 0, -1):
+            j = rng.below(i + 1)
+            want[i], want[j] = want[j], want[i]
+        items = list(range(30))
+        Xoshiro256StarStar(9).shuffle(items)
+        assert items == want

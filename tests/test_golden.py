@@ -50,7 +50,7 @@ CONFIGS = {
     "hair_removal_enabled=False": {"hair_removal_enabled": False},
 }
 # trained on the refined features, hairy as malignant, and scored on the raw
-# ones; 12 rows in batches of 5, so the seeded shuffle runs
+# ones; 12 rows in batches of 5, so windows of the seeded permutation wrap
 TRAIN_CONFIG = TrainConfig(seed=1, batch_size=5, iterations=300, eval_interval=25)
 # (variable, value): numpy's AVX-512 kernels off, and two OpenBLAS kernel sets
 SETTINGS = [("NPY_DISABLE_CPU_FEATURES", "X86_V4"), ("OPENBLAS_CORETYPE", "Haswell"),

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lesionprep import probe
-from lesionprep.dataset import Xoshiro256StarStar, _shuffle
+from lesionprep.dataset import Xoshiro256StarStar
 from lesionprep.probe import (
     FEATURE_DIM,
     CurvePoint,
@@ -232,18 +232,13 @@ def sigmoid_oracle(t: float) -> float:
 
 def batches(n: int, config: TrainConfig):
     """The row indices of each iteration's batch, as train_probe documents
-    them: the whole set in index order while it fits in one batch, else
-    consecutive chunks of an order reshuffled every epoch."""
-    rng, order, cursor = Xoshiro256StarStar(config.seed), list(range(n)), n
-    for _ in range(config.iterations):
-        if n <= config.batch_size:
-            yield order
-            continue
-        if cursor >= n:
-            _shuffle(order, rng)
-            cursor = 0
-        yield order[cursor : cursor + config.batch_size]
-        cursor += config.batch_size
+    them: one seeded permutation of the n rows, and batch k is its window
+    perm[(k m + j) mod n] for j < m = min(batch_size, n)."""
+    perm = list(range(n))
+    Xoshiro256StarStar(config.seed).shuffle(perm)
+    m = min(config.batch_size, n)
+    for k in range(config.iterations):
+        yield [perm[(k * m + j) % n] for j in range(m)]
 
 
 def train_probe_oracle(train_features, train_labels, val_features, val_labels, config):
@@ -564,13 +559,15 @@ class TestTraining:
 
     @settings(deadline=None, max_examples=30)
     @given(training_runs())
-    # batch below, equal to and above n; intervals that do not divide the
-    # iterations; an empty validation set; one row; the bench's split sizes
+    # batch below (windows that wrap: 12 rows in fives), equal to and above
+    # n; batch 1; intervals that do not divide the iterations; an empty
+    # validation set; one row; the bench's split sizes
     @example((random_training_set(1, 12, 55, 4), TrainConfig(seed=2, batch_size=5, iterations=37, eval_interval=10)))
     @example((random_training_set(3, 12, 55, 4), TrainConfig(seed=4, batch_size=12, iterations=30, eval_interval=7)))
     @example((random_training_set(5, 12, 55, 4), TrainConfig(seed=6, batch_size=20, iterations=30, eval_interval=30)))
     @example((random_training_set(7, 12, 55, 0), TrainConfig(seed=8, batch_size=5, iterations=23, eval_interval=6)))
     @example((random_training_set(9, 1, 1, 1), TrainConfig(seed=10, batch_size=1, iterations=9, eval_interval=4)))
+    @example((random_training_set(13, 7, 55, 3), TrainConfig(seed=14, batch_size=1, iterations=20, eval_interval=6)))
     @example((random_training_set(11, 24, 55, 6), TrainConfig(seed=12, iterations=300)))
     def test_matches_oracle_byte_for_byte(self, run):
         assert_trains_like_oracle(*run)
@@ -579,9 +576,9 @@ class TestTraining:
                              ids=["bench-hairy", "bench-dense", "shuffled"])
     def test_matches_two_class_softmax_within_rounding(self, seed, n, batch):
         # the unit equals the softmax in exact arithmetic, so the two differ
-        # only by rounding: measured up to 5.4e-16 of the largest weight and
-        # 2.2e-15 relative on the curve over 1000-5000 iterations; the bounds
-        # leave a 400-fold margin and still catch a wrong step or sign
+        # only by rounding: measured up to 7.2e-16 of the largest weight and
+        # 1.6e-15 relative on the curve over 1000-5000 iterations; the bounds
+        # leave a 600-fold margin and still catch a wrong step or sign
         data = random_training_set(seed, n, 55, 6)
         config = TrainConfig(seed=seed, batch_size=batch, iterations=1000, eval_interval=50)
         model, curve = train_probe(*data, config)
@@ -595,13 +592,17 @@ class TestTraining:
             assert got.train_cross_entropy == pytest.approx(ref.train_cross_entropy, rel=1e-12)
             assert got.val_cross_entropy == pytest.approx(ref.val_cross_entropy, rel=1e-12)
 
-    def test_a_set_within_one_batch_draws_nothing(self, rng, monkeypatch):
-        def drawn(*args):
-            raise AssertionError("drew a batch order for a set that fits in one batch")
-
-        monkeypatch.setattr(probe.dataset, "_shuffle", drawn)
-        X, y = make_blobs(rng, n=32)
-        train_probe(X, y, X, y, TrainConfig(seed=3, batch_size=32, iterations=20))
+    @pytest.mark.parametrize("n, batch, iterations", [
+        (1, 32, 10), (22, 32, 500), (32, 32, 40), (40, 8, 1), (40, 8, 600),
+    ])
+    def test_draws_one_permutation_per_run(self, rng, monkeypatch, n, batch, iterations):
+        # n - 1 draws whether the set fits in one batch or takes many epochs
+        draws = []
+        below = Xoshiro256StarStar.below
+        monkeypatch.setattr(Xoshiro256StarStar, "below", lambda rng, k: draws.append(k) or below(rng, k))
+        X, y = make_blobs(rng, n=n)
+        train_probe(X, y, X, y, TrainConfig(seed=3, batch_size=batch, iterations=iterations))
+        assert draws == list(range(n, 1, -1))
 
 
 class TestTrainConfig:

@@ -7,6 +7,8 @@ byte-identical outputs regardless of --jobs.
 
 Each subcommand imports only the modules it runs: split, eval and report use
 the standard library alone, and preprocess, quality and train-probe add numpy.
+Notes and errors go to stderr as ``LEVEL message`` lines: ``INFO``, ``WARNING``
+or ``ERROR``.
 """
 
 from __future__ import annotations
@@ -14,21 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import os
 import sys
 from pathlib import Path, PurePath
 
 from . import dataset
 
-log = logging.getLogger("lesionprep")
-
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-
-class DataError(Exception):
-    """Input data problem; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,11 +43,11 @@ def positive_int(text: str) -> int:
 
 def _read(path, parse):
     """``parse(Path(path))``. An OSError or ValueError from reading or parsing
-    the file becomes a DataError that names it."""
+    the file becomes a ValueError that names it."""
     try:
         return parse(Path(path))
     except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_text(path, text: str) -> None:
@@ -66,13 +61,13 @@ def _write_text(path, text: str) -> None:
 
 def _read_entries(manifest):
     """The manifest's entries. Each path is joined to a root, so one that is
-    absolute or empty or has a ``..`` segment is a DataError naming it, raised
+    absolute or empty or has a ``..`` segment is a ValueError naming it, raised
     before any image is read or written."""
     entries = _read(manifest, dataset.read_manifest)
     for e in entries:
         rel = PurePath(e.path)
         if not e.path or rel.is_absolute() or ".." in rel.parts:
-            raise DataError(f"{manifest}: path {e.path!r} must be relative to the root, without '..'")
+            raise ValueError(f"{manifest}: path {e.path!r} must be relative to the root, without '..'")
     return entries
 
 
@@ -94,13 +89,13 @@ def _config(cls, args):
 
 def _out_paths(manifest, entries, out_root: Path) -> list[tuple[Path, Path]]:
     """Each entry's ``<stem>.pre.ppm`` and ``<stem>.mask.pgm`` under ``out_root``;
-    two entries with the same outputs (``a.ppm``, ``a.pnm``) are a DataError."""
+    two entries with the same outputs (``a.ppm``, ``a.pnm``) are a ValueError."""
     paths, owners = [], {}
     for e in entries:
         rel = Path(e.path)
         pre = out_root / rel.parent / f"{rel.stem}.pre.ppm"
         if owners.setdefault(pre, e.path) != e.path:
-            raise DataError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
+            raise ValueError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
         paths.append((pre, pre.with_name(f"{rel.stem}.mask.pgm")))
     return paths
 
@@ -118,7 +113,8 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 def _preprocess_one(task):
-    """Worker: returns (rel_path, masked_pixels) or raises DataError."""
+    """Worker: returns (rel_path, masked_pixels) or raises a ValueError that
+    names the image."""
     import numpy as np
 
     from .preprocess import preprocess_pipeline
@@ -139,14 +135,14 @@ def cmd_preprocess(args) -> int:
     from .preprocess import PreprocessConfig
 
     config = _config(PreprocessConfig, args)
-    log.info("preprocess config: %s", config)
+    print(f"INFO preprocess config: {config}", file=sys.stderr)
     entries = _read_entries(args.manifest)
     images_root = Path(args.images_root)
     out_root = Path(args.out_root)
     outputs = _out_paths(args.manifest, entries, out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     if not entries:
-        log.warning("empty manifest: nothing to do")
+        print("WARNING empty manifest: nothing to do", file=sys.stderr)
         return 0
     tasks = [(e.path, str(images_root / e.path), str(pre_path), str(mask_path), config)
              for e, (pre_path, mask_path) in zip(entries, outputs)]
@@ -161,7 +157,7 @@ def cmd_preprocess(args) -> int:
     lines = (json.dumps({"path": rel_path, "config": config_dict, "masked_pixels": masked}, sort_keys=True)
              for rel_path, masked in results)  # manifest order, pool-width independent
     _write_text(out_root / "preprocess_log.jsonl", "".join(line + "\n" for line in lines))
-    log.info("preprocessed %d images into %s", len(results), out_root)
+    print(f"INFO preprocessed {len(results)} images into {out_root}", file=sys.stderr)
     return 0
 
 
@@ -175,7 +171,7 @@ def cmd_quality(args) -> int:
     def pairs():  # one pair decoded at a time
         for e, (pre_path, _) in zip(entries, outputs):
             if not pre_path.exists():
-                raise DataError(f"missing preprocessed counterpart {pre_path}")
+                raise ValueError(f"missing preprocessed counterpart {pre_path}")
             yield e.path, _read(images_root / e.path, _load_image), _read(pre_path, _load_image)
 
     _write_text(args.out, quality.format_quality_report(quality.quality_report(pairs())))
@@ -184,14 +180,14 @@ def cmd_quality(args) -> int:
 
 def cmd_split(args) -> int:
     config = _config(dataset.SplitConfig, args)
-    log.info("split config: %s", config)
+    print(f"INFO split config: {config}", file=sys.stderr)
     entries = dataset.scan_dataset(args.root)  # its errors name the root
     train = [e for e in entries if e.split == "train"]
     rest = [e for e in entries if e.split != "train"]
     out = dataset.split_train_val(train, config) + rest
     _write_text(args.out, dataset.format_manifest(out))
     counts = {s: sum(1 for e in out if e.split == s) for s in dataset.SPLITS}
-    log.info("wrote %s: %s", args.out, counts)
+    print(f"INFO wrote {args.out}: {counts}", file=sys.stderr)
     return 0
 
 
@@ -239,11 +235,11 @@ def cmd_train_probe(args) -> int:
     from . import probe
 
     config = _config(probe.TrainConfig, args)
-    log.info("train config: %s", config)
+    print(f"INFO train config: {config}", file=sys.stderr)
     entries = _read_entries(args.manifest)
     train = [e for e in entries if e.split == "train"]
     if not train:
-        raise DataError("manifest has no train entries")
+        raise ValueError("manifest has no train entries")
     images_root = Path(args.images_root)
     X_train, y_train = _features_for(train, images_root)
     X_val, y_val = _features_for([e for e in entries if e.split == "val"], images_root)
@@ -252,7 +248,7 @@ def cmd_train_probe(args) -> int:
     _write_text(args.curve_out, probe.format_curve(curve))
     if args.render_svg:
         _write_text(args.render_svg, _render_curve_svg(curve))
-    log.info("final point: %s", curve[-1])
+    print(f"INFO final point: {curve[-1]}", file=sys.stderr)
     return 0
 
 
@@ -358,11 +354,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (DataError, ValueError, OSError) as exc:
-        log.error("%s", exc)
+    except (ValueError, OSError) as exc:
+        print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -93,9 +93,11 @@ class PreprocessConfig:
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
+    """Gaussian taps out to 3 sigma, normalised to sum to 1. Each tap is one
+    ``math.exp``, as in the probe, so the taps do not depend on which SIMD
+    kernels numpy's ``np.exp`` dispatches to."""
     radius = math.ceil(3 * sigma)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(x * x) / (2 * sigma * sigma))
+    k = np.array([math.exp(-(x * x) / (2 * sigma * sigma)) for x in range(-radius, radius + 1)])
     return k / k.sum()
 
 

@@ -8,13 +8,15 @@ Feature layout (all in [0, 1]):
   [32:48]  blue histogram
   [48:51]  per-channel mean / 255      (r, g, b)
   [51:54]  per-channel std / 255       (population std; r, g, b)
-  [54]     mean Sobel gradient magnitude of the BT.601 luma, / (1020 * sqrt(2))
+  [54]     mean Sobel gradient magnitude of the BT.601 luma, / (1020 * sqrt(2));
+           the luma is (299 R + 587 G + 114 B + 500) // 1000, 0.299 R +
+           0.587 G + 0.114 B rounded half up in exact integer arithmetic
 
 The features take one pass over blocks of ``_BLOCK_ROWS`` rows. Integer
 counts of each channel's levels give the histograms, each mean S / n and each
 std sqrt(n Q - S^2) / n, with S and Q the exact sums of the levels and of their
 squares (exact while n Q < 2^53). The edge feature is ``np.sqrt`` of the exact
-int32 gx^2 + gy^2 of the luma, added in raster order by a ``np.cumsum`` carried
+integer gx^2 + gy^2 of the luma, added in raster order by a ``np.cumsum`` carried
 from block to block. Each float step is correctly rounded, so the bytes do not
 depend on the CPU.
 
@@ -28,7 +30,7 @@ softmax rows (-v/2, v/2) and bias (-c/2, c/2). Sums add in index order and
 each row takes one ``math.exp``: no matmul, BLAS or ``np.exp``, so model and
 curve bytes do not depend on numpy's or BLAS's kernels. Only libm's ``exp``
 and ``log`` remain; glibc's may differ in the last bit between versions, and
-between its FMA and SSE2 variants.
+between its FMA and SSE2 variants, under both of which the golden tests run.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ class CurvePoint:
 
 
 _LEVELS = np.arange(256)
-# Each BT.601 weight times every 8-bit level, one row per channel (R, G, B).
-_LUMA = np.array([[0.299], [0.587], [0.114]]) * _LEVELS
 _BLOCK_ROWS = 24  # rows per block of extract_features
 
 
@@ -99,8 +99,7 @@ def extract_features(image: Image) -> np.ndarray:
     pixels = image.pixels
     h, w = pixels.shape[:2]
     n = h * w
-    levels = np.empty((3, min(h, _BLOCK_ROWS + 2), w), np.intp)
-    luma = np.empty(levels.shape[1:])
+    levels = np.empty((3, min(h, _BLOCK_ROWS + 2), w), np.int32)  # 1000 * 255 + 500 fits
     roots = np.empty(min(h, _BLOCK_ROWS) * w)
     counts = np.zeros((3, 256), np.intp)
     edge = 0.0
@@ -111,7 +110,8 @@ def extract_features(image: Image) -> np.ndarray:
         np.copyto(block, np.moveaxis(pixels[lo:hi], -1, 0))
         for c in range(3):
             counts[c] += np.bincount(block[c, inner].ravel(), minlength=256)
-        gx, gy = (g[inner] for g in _sobel(_luma(block, luma[: hi - lo]).astype(np.int32)))
+        luma = (299 * block[0] + 587 * block[1] + 114 * block[2] + 500) // 1000
+        gx, gy = (g[inner] for g in _sobel(luma))
         run = np.sqrt((gx * gx + gy * gy).ravel(), out=roots[: gx.size])
         run[0] += edge
         edge = np.cumsum(run, out=run)[-1]
@@ -119,23 +119,6 @@ def extract_features(image: Image) -> np.ndarray:
     stds = [math.sqrt(n * q - s * s) / n / 255.0 for s, q in zip(sums.tolist(), squares.tolist())]
     histograms = counts.reshape(3, 16, 16).sum(axis=2) / n
     return np.concatenate([histograms.ravel(), sums / n / 255.0, stds, [edge / n / _SOBEL_MAX]])
-
-
-def _luma(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """BT.601 luma, floor(0.299 R + 0.587 G + 0.114 B + 0.5), of intp R, G, B
-    ``levels`` (first axis) into float64 ``out``. Each weighted channel is
-    looked up in ``_LUMA``, whose entries are the float64 products the formula
-    forms, and the three are added in the order R, G, B; so the luma equals the
-    float64 formula's bit for bit (checked on all 2^24 triples) without a
-    float64 copy of the image. The sum never reaches 255.5, so it needs no
-    clip. The integer formula (299 R + 587 G + 114 B + 500) // 1000 is not a
-    substitute: it differs on 3,464 triples. ``take`` runs several times
-    faster on intp indices than on uint8."""
-    _LUMA[0].take(levels[0], out=out, mode="clip")  # in range; "clip" spares out a buffer
-    out += _LUMA[1].take(levels[1])
-    out += _LUMA[2].take(levels[2])
-    out += 0.5
-    return np.floor(out, out=out)
 
 
 def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,10 @@ import csv
 import dataclasses
 import io
 import json
-import logging
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -49,6 +50,15 @@ def dataset_root(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def error_message(err: str) -> str:
+    """The message of the ``ERROR`` line that ends a failed command's stderr
+    ``err``, in which no traceback was printed."""
+    assert "Traceback" not in err and err.endswith("\n")
+    line = err[:-1].rpartition("\n")[2]
+    assert line.startswith("ERROR ")
+    return line.removeprefix("ERROR ")
 
 
 # metrics a hand-edited report.json might carry; `report` must not print them
@@ -129,7 +139,7 @@ class TestSplit:
             run("split", "--root", dataset_root, "--out", tmp_path / "m.csv")
         assert exc.value.code == 1
 
-    def test_unprintable_name_stops_the_chain_at_split(self, dataset_root, tmp_path, caplog):
+    def test_unprintable_name_stops_the_chain_at_split(self, dataset_root, tmp_path, capsys):
         write_image(dataset_root / "train" / "benign" / "odd\rname.ppm", seed=9, bright=True)
         manifest = tmp_path / "m.csv"
         chain = [
@@ -138,16 +148,15 @@ class TestSplit:
              "--out-root", tmp_path / "pre"),
         ]
         codes = []
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            for argv in chain:  # as `split && preprocess`
-                codes.append(run(*argv))
-                if codes[-1]:
-                    break
+        for argv in chain:  # as `split && preprocess`
+            codes.append(run(*argv))
+            if codes[-1]:
+                break
         assert codes == [2]
-        assert repr("train/benign/odd\rname.ppm") in caplog.records[-1].getMessage()
+        assert repr("train/benign/odd\rname.ppm") in error_message(capsys.readouterr().err)
         assert not manifest.exists()
 
-    def test_non_utf8_name_leaves_out_unchanged(self, dataset_root, tmp_path, caplog):
+    def test_non_utf8_name_leaves_out_unchanged(self, dataset_root, tmp_path, capsys):
         name = os.fsdecode(b"\xffbad.ppm")
         try:
             write_image(dataset_root / "train" / "benign" / name, seed=9, bright=True)
@@ -155,21 +164,19 @@ class TestSplit:
             pytest.skip(f"this file system refuses the name b'\\xffbad.ppm': {exc}")
         manifest = tmp_path / "m.csv"
         manifest.write_bytes(b"old")
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 2
-        assert repr(f"train/benign/{name}") in caplog.records[-1].getMessage()
+        assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 2
+        assert repr(f"train/benign/{name}") in error_message(capsys.readouterr().err)
         assert manifest.read_bytes() == b"old"
 
 
     @pytest.mark.parametrize("stray, named", [("train/stray.ppm", "train/stray.ppm"),
                                               ("Test/malignant/t.ppm", "Test")])
-    def test_image_outside_the_layout_is_data_error(self, dataset_root, tmp_path, caplog,
+    def test_image_outside_the_layout_is_data_error(self, dataset_root, tmp_path, capsys,
                                                      stray, named):
         write_image(dataset_root / stray, seed=9, bright=True)
         manifest = tmp_path / "m.csv"
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 2
-        assert repr(named) in caplog.records[-1].getMessage()
+        assert run("split", "--root", dataset_root, "--seed", 1, "--out", manifest) == 2
+        assert repr(named) in error_message(capsys.readouterr().err)
         assert not manifest.exists()
 
 
@@ -206,11 +213,12 @@ class TestPreprocess:
                    "--out-root", tmp_path / "out") == 0
         assert (tmp_path / "out" / "thin.pre.ppm").exists()
 
-    def test_empty_manifest_warns_and_succeeds(self, tmp_path):
+    def test_empty_manifest_warns_and_succeeds(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\n")
         assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
                    "--out-root", tmp_path / "out") == 0
+        assert capsys.readouterr().err.endswith("\nWARNING empty manifest: nothing to do\n")
 
     def test_unreadable_path_is_data_error(self, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -218,7 +226,7 @@ class TestPreprocess:
         assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
                    "--out-root", tmp_path / "out") == 2
 
-    def test_pipeline_error_names_the_image(self, tmp_path, caplog, monkeypatch):
+    def test_pipeline_error_names_the_image(self, tmp_path, capsys, monkeypatch):
         write_image(tmp_path / "a.ppm", seed=1, bright=True)
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\na.ppm,benign,train\n")
@@ -227,10 +235,9 @@ class TestPreprocess:
             raise ValueError("pipeline exploded")
 
         monkeypatch.setattr(preprocess, "preprocess_pipeline", fail)
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
-                       "--out-root", tmp_path / "out", "--jobs", 1) == 2
-        message = caplog.records[-1].getMessage()
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                   "--out-root", tmp_path / "out", "--jobs", 1) == 2
+        message = error_message(capsys.readouterr().err)
         assert str(tmp_path / "a.ppm") in message and "pipeline exploded" in message
 
     def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
@@ -337,23 +344,22 @@ class TestOutputCollisions:
         monkeypatch.setattr(cli, "_load_image", read)
         return manifest
 
-    def refused(self, caplog, manifest, root, *argv):
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run(*argv) == 2
-        assert caplog.records[-1].getMessage() == (
+    def refused(self, capsys, manifest, root, *argv):
+        assert run(*argv) == 2
+        assert error_message(capsys.readouterr().err) == (
             f"{manifest}: paths 'train/benign/a.ppm' and 'train/benign/a.pnm' both map to "
             f"{root / 'train' / 'benign' / 'a.pre.ppm'}")
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_preprocess(self, tmp_path, caplog, colliding, jobs):
+    def test_preprocess(self, tmp_path, capsys, colliding, jobs):
         out = tmp_path / "out"
-        self.refused(caplog, colliding, out, "preprocess", "--manifest", colliding, "--images-root",
+        self.refused(capsys, colliding, out, "preprocess", "--manifest", colliding, "--images-root",
                      tmp_path / "data", "--out-root", out, "--jobs", jobs)
         assert not out.exists()
 
-    def test_quality(self, tmp_path, caplog, colliding):
+    def test_quality(self, tmp_path, capsys, colliding):
         report = tmp_path / "q.csv"
-        self.refused(caplog, colliding, tmp_path / "pre", "quality", "--manifest", colliding, "--images-root",
+        self.refused(capsys, colliding, tmp_path / "pre", "quality", "--manifest", colliding, "--images-root",
                      tmp_path / "data", "--pre-root", tmp_path / "pre", "--out", report)
         assert not report.exists()
 
@@ -417,14 +423,13 @@ class TestTrainProbe:
         assert outs[0] == outs[1]
 
 
-    def test_no_train_entries_is_refused_before_any_image_is_read(self, tmp_path, caplog):
+    def test_no_train_entries_is_refused_before_any_image_is_read(self, tmp_path, capsys):
         # the val image does not exist: reading it would fail with another message
         manifest = tmp_path / "m.csv"
         manifest.write_text(format_manifest([ManifestEntry("train/benign/gone.ppm", "benign", "val")]))
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run("train-probe", "--manifest", manifest, "--images-root", tmp_path, "--seed", 1,
-                       "--model-out", tmp_path / "model.txt", "--curve-out", tmp_path / "curve.csv") == 2
-        assert caplog.records[-1].getMessage() == "manifest has no train entries"
+        assert run("train-probe", "--manifest", manifest, "--images-root", tmp_path, "--seed", 1,
+                   "--model-out", tmp_path / "model.txt", "--curve-out", tmp_path / "curve.csv") == 2
+        assert error_message(capsys.readouterr().err) == "manifest has no train entries"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
     def test_failed_write_keeps_the_old_model(self, dataset_root, tmp_path, monkeypatch):
@@ -475,25 +480,23 @@ class TestConfigFlags:
         ([], SplitConfig(seed=4)),
         (["--fraction", 0.5], SplitConfig(seed=4, train_fraction=0.5)),
     ])
-    def test_split(self, dataset_root, tmp_path, caplog, flags, expected):
-        with caplog.at_level(logging.INFO, logger="lesionprep"):
-            assert run("split", "--root", dataset_root, "--seed", 4,
-                       "--out", tmp_path / "m.csv", *flags) == 0
-        assert f"split config: {expected}" in caplog.messages
+    def test_split(self, dataset_root, tmp_path, capsys, flags, expected):
+        assert run("split", "--root", dataset_root, "--seed", 4,
+                   "--out", tmp_path / "m.csv", *flags) == 0
+        assert f"INFO split config: {expected}" in capsys.readouterr().err.splitlines()
 
     @pytest.mark.parametrize("flags,expected", [
         ([], TrainConfig(seed=4)),
         (["--learning-rate", 0.1, "--batch-size", 8, "--iterations", 30, "--eval-interval", 10],
          TrainConfig(4, 0.1, 8, 30, 10)),
     ])
-    def test_train_probe(self, dataset_root, tmp_path, caplog, flags, expected):
+    def test_train_probe(self, dataset_root, tmp_path, capsys, flags, expected):
         manifest = tmp_path / "m.csv"
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
-        with caplog.at_level(logging.INFO, logger="lesionprep"):
-            assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
-                       "--seed", 4, "--model-out", tmp_path / "model.txt",
-                       "--curve-out", tmp_path / "curve.csv", *flags) == 0
-        assert f"train config: {expected}" in caplog.messages
+        assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
+                   "--seed", 4, "--model-out", tmp_path / "model.txt",
+                   "--curve-out", tmp_path / "curve.csv", *flags) == 0
+        assert f"INFO train config: {expected}" in capsys.readouterr().err.splitlines()
 
     @pytest.mark.parametrize("command, flag, message", [
         ("preprocess", "--sharpen-sigma", "sharpen_sigma must be finite"),
@@ -502,7 +505,7 @@ class TestConfigFlags:
         ("train-probe", "--learning-rate", "learning_rate must be finite and > 0"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_exits_2_before_any_image(self, dataset_root, tmp_path, monkeypatch, caplog,
+    def test_non_finite_value_exits_2_before_any_image(self, dataset_root, tmp_path, monkeypatch, capsys,
                                                        command, flag, message, value):
         manifest = tmp_path / "m.csv"
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
@@ -514,10 +517,9 @@ class TestConfigFlags:
         outputs = {"preprocess": ["--out-root", tmp_path / "out"],
                    "train-probe": ["--seed", 1, "--model-out", tmp_path / "model.txt",
                                    "--curve-out", tmp_path / "curve.csv"]}[command]
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run(command, "--manifest", manifest, "--images-root", dataset_root,
-                       *outputs, f"{flag}={value}") == 2
-        assert caplog.records[-1].getMessage() == f"{message}, got {float(value)}"
+        assert run(command, "--manifest", manifest, "--images-root", dataset_root,
+                   *outputs, f"{flag}={value}") == 2
+        assert error_message(capsys.readouterr().err) == f"{message}, got {float(value)}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "m.csv"]
 
 
@@ -570,16 +572,14 @@ class TestEvalAndReport:
         ({"tp": True, "fp": 1, "fn": 1, "tn": 1}, "tp"),
         ({"tp": 3, "fp": 1, "fn": 1}, "tn"),
     ], ids=["string", "negative", "float", "bool", "missing"])
-    def test_report_bad_count_is_data_error(self, tmp_path, capsys, caplog, confusion, field):
+    def test_report_bad_count_is_data_error(self, tmp_path, capsys, confusion, field):
         saved = tmp_path / "report.json"
         saved.write_text(json.dumps({"confusion": confusion, "metrics": STALE_METRICS}))
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run("report", saved) == 2
-        message = caplog.records[-1].getMessage().split(": ", 1)[1]
-        assert f"'{field}'" in message or message.startswith(f"{field} ")
+        assert run("report", saved) == 2
         captured = capsys.readouterr()
+        message = error_message(captured.err).split(": ", 1)[1]
+        assert f"'{field}'" in message or message.startswith(f"{field} ")
         assert captured.out == ""
-        assert "Traceback" not in captured.err
 
     def test_eval_missing_log_is_data_error(self, tmp_path):
         assert run("eval", "--log", tmp_path / "none.csv") == 2
@@ -593,13 +593,11 @@ class TestEvalAndReport:
         (b"case_id,predicted,confidence,truth\n1,benign,0.9,ben\rign\n", "line 2: new-line"),
         (b"case_id,predicted,confidence,truth\n1,benign,0.9,\xffbenign\n", "not UTF-8"),
     ], ids=["bare-cr", "not-utf8"])
-    def test_eval_malformed_log_names_the_path(self, tmp_path, capsys, caplog, data, problem):
+    def test_eval_malformed_log_names_the_path(self, tmp_path, capsys, data, problem):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(data)
-        with caplog.at_level(logging.ERROR, logger="lesionprep"):
-            assert run("eval", "--log", bad) == 2
-        assert caplog.records[-1].getMessage().startswith(f"{bad}: {problem}")
-        assert "Traceback" not in capsys.readouterr().err
+        assert run("eval", "--log", bad) == 2
+        assert error_message(capsys.readouterr().err).startswith(f"{bad}: {problem}")
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -622,20 +620,18 @@ manifest_commands = pytest.mark.parametrize("command, flags", [
     (b"path,label,split\na.ppm,ben\rign,train\n", "line 2: "),
     (b"path,label,split\na.ppm,benign,tr\xffain\n", "not UTF-8: 'utf-8' codec"),
 ], ids=["short-row", "bare-cr", "not-utf8"])
-def test_malformed_manifest_names_the_path(tmp_path, monkeypatch, capsys, caplog,
+def test_malformed_manifest_names_the_path(tmp_path, monkeypatch, capsys,
                                            command, flags, data, problem):
     monkeypatch.chdir(tmp_path)  # the relative output paths in `flags`
     manifest = tmp_path / "m.csv"
     manifest.write_bytes(data)
-    with caplog.at_level(logging.ERROR, logger="lesionprep"):
-        assert run(command, "--manifest", manifest, "--images-root", tmp_path, *flags) == 2
-    assert caplog.records[-1].getMessage().startswith(f"{manifest}: {problem}")
-    assert "Traceback" not in capsys.readouterr().err
+    assert run(command, "--manifest", manifest, "--images-root", tmp_path, *flags) == 2
+    assert error_message(capsys.readouterr().err).startswith(f"{manifest}: {problem}")
 
 
 @manifest_commands
 @pytest.mark.parametrize("bad", ["../x.ppm", "absolute", "", "a/../../x.ppm"])
-def test_manifest_path_outside_the_root_is_refused(tmp_path, monkeypatch, caplog, command, flags, bad):
+def test_manifest_path_outside_the_root_is_refused(tmp_path, monkeypatch, capsys, command, flags, bad):
     # every file a bad path could reach exists, so only the path rule stops
     # the command; the good entry comes first, and nothing may be written
     monkeypatch.chdir(tmp_path)
@@ -645,11 +641,37 @@ def test_manifest_path_outside_the_root_is_refused(tmp_path, monkeypatch, caplog
     (tmp_path / "m.csv").write_text(format_manifest([ManifestEntry("a.ppm", "benign", "train"),
                                                      ManifestEntry(bad, "malignant", "train")]))
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    with caplog.at_level(logging.ERROR, logger="lesionprep"):
-        assert run(command, "--manifest", "m.csv", "--images-root", "images", *flags) == 2
-    assert caplog.records[-1].getMessage().startswith(f"m.csv: path {bad!r} must be relative")
+    assert run(command, "--manifest", "m.csv", "--images-root", "images", *flags) == 2
+    assert error_message(capsys.readouterr().err).startswith(f"m.csv: path {bad!r} must be relative")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
     assert sorted(tmp_path.rglob("*")) == sorted([*before, tmp_path / "images", tmp_path / "pre"])
+
+
+def fresh(cwd, *args):
+    """``python args`` run in a new interpreter in ``cwd``, this package
+    first on its path, with stdout and stderr captured as bytes."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, timeout=120)
+
+
+def test_stderr_bytes_in_a_fresh_interpreter(dataset_root, tmp_path):
+    # relative paths, so that the bytes do not depend on tmp_path
+    done = fresh(tmp_path, "-m", "lesionprep.cli", "split", "--root", "data", "--seed", 3, "--out", "m.csv")
+    assert (done.returncode, done.stderr) == (0, b"INFO split config: SplitConfig(seed=3, train_fraction=0.75)\n"
+                                                 b"INFO wrote m.csv: {'train': 8, 'val': 4, 'test': 2}\n")
+    failed = fresh(tmp_path, "-m", "lesionprep.cli", "report", "gone.json")
+    assert (failed.returncode, failed.stderr) == (
+        2, b"ERROR gone.json: [Errno 2] No such file or directory: 'gone.json'\n")
+
+
+def test_main_leaves_the_root_logger_alone(tmp_path):
+    # a fresh interpreter, because pytest gives the root logger handlers of its own
+    script = ("import logging; from lesionprep.cli import main; root = logging.getLogger()\n"
+              "print(root.handlers, logging.getLevelName(root.level))\n"
+              "main(['report', 'gone.json'])\n"
+              "print(root.handlers, logging.getLevelName(root.level))\n")
+    assert fresh(tmp_path, "-c", script).stdout.decode().splitlines() == ["[] WARNING", "[] WARNING"]
 
 
 def test_verbose_is_an_unknown_flag():

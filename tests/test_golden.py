@@ -9,13 +9,15 @@ one with none. ``digests.json`` holds the sha256 of the ``.pre.ppm`` and
 ``.mask.pgm`` bytes the CLI worker writes for each input under each config,
 and of ``extract_features(...).tobytes()`` for the raw and the refined image.
 Under ``probe`` it holds the sha256 of ``format_model`` and ``format_curve``
-of a probe trained on those features with ``TRAIN_CONFIG``.
+of a probe trained on those features with ``TRAIN_CONFIG``, and under
+``gaussian_taps`` that of the sharpen's Gaussian taps for each sigma in
+``TAP_SIGMAS``.
 
-The same table must come out when numpy's AVX-512 kernels are switched off
-and under two other OpenBLAS kernel sets; each setting runs in a fresh
-interpreter. libm's ``exp`` and ``log``, which the probe calls through
-``math``, are out of scope: glibc's may differ in the last bit between
-versions, and between the FMA and SSE2 variants it picks by CPU.
+The same table must come out when numpy's AVX-512 kernels are switched off,
+under two other OpenBLAS kernel sets, and with glibc's AVX2 and FMA variants
+of libm's ``exp`` and ``log`` switched off; each setting runs in a fresh
+interpreter. Whether glibc's ``exp`` and ``log`` differ between its versions
+is out of scope.
 
 When outputs are meant to change, re-pin with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
@@ -24,6 +26,7 @@ When outputs are meant to change, re-pin with
 import ctypes
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,7 +38,7 @@ import pytest
 
 import lesionprep
 from lesionprep.cli import _load_image, _preprocess_one
-from lesionprep.preprocess import PreprocessConfig
+from lesionprep.preprocess import PreprocessConfig, _gaussian_kernel
 from lesionprep.probe import TrainConfig, extract_features, format_curve, format_model, train_probe
 from lesionprep.raster import decode_netpbm
 
@@ -52,9 +55,13 @@ CONFIGS = {
 # trained on the refined features, hairy as malignant, and scored on the raw
 # ones; 12 rows in batches of 5, so windows of the seeded permutation wrap
 TRAIN_CONFIG = TrainConfig(seed=1, batch_size=5, iterations=300, eval_interval=25)
-# (variable, value): numpy's AVX-512 kernels off, and two OpenBLAS kernel sets
+# 0.30, 0.31, ..., 3.00; np.exp taps differed with and without numpy's AVX-512
+# kernels at 55 of them on an AVX-512 host, though not at the default sigma 1.0
+TAP_SIGMAS = [i / 100 for i in range(30, 301)]
+# (variable, value): numpy's AVX-512 kernels off, two OpenBLAS kernel sets, and
+# glibc's AVX2 and FMA variants off, libm's exp and log among them
 SETTINGS = [("NPY_DISABLE_CPU_FEATURES", "X86_V4"), ("OPENBLAS_CORETYPE", "Haswell"),
-            ("OPENBLAS_CORETYPE", "Prescott")]
+            ("OPENBLAS_CORETYPE", "Prescott"), ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2,-FMA")]
 
 
 def sha(data: bytes) -> str:
@@ -86,6 +93,7 @@ def table() -> dict:
                 labels.append(int(name == "hairy"))
     model, curve = train_probe(np.array(rows), np.array(labels), np.array(raws), np.array([1, 0]), TRAIN_CONFIG)
     out["probe"] = {"model": sha(format_model(model).encode()), "curve": sha(format_curve(curve).encode())}
+    out["gaussian_taps"] = sha(b"".join(_gaussian_kernel(sigma).tobytes() for sigma in TAP_SIGMAS))
     return out
 
 
@@ -115,6 +123,12 @@ def numpy_has(feature: str) -> bool:
     return bool(__cpu_features__.get(feature))
 
 
+def libm_exp() -> str:
+    """The sha256 of libm's ``exp``, through ``math.exp``, at 2^16 points
+    spread over [-40, 40]; glibc's FMA and SSE2 variants differ on some."""
+    return sha(np.array([math.exp(-40 + 80 * i / 2**16) for i in range(2**16)]).tobytes())
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads((GOLDEN / "digests.json").read_text())
@@ -138,6 +152,10 @@ def test_preprocess_outputs(pinned, computed, name, config):
 
 def test_trained_probe(pinned, computed):
     assert computed["probe"] == pinned["probe"]
+
+
+def test_gaussian_taps(pinned, computed):
+    assert computed["gaussian_taps"] == pinned["gaussian_taps"]
 
 
 def test_hairy_default_mask_exercises_labelling(pinned):
@@ -169,6 +187,10 @@ def test_digests_hold_under_other_cpu_kernels(pinned, elsewhere, var, value):
         if not numpy_has(value):
             pytest.skip(f"this CPU has no {value} kernels for numpy to switch off")
         assert run["numpy_" + value] is False
+    elif var == "GLIBC_TUNABLES":
+        if run["libm_exp"] == libm_exp():
+            pytest.skip(f"{var}={value} leaves libm's exp as it was (a libc other than glibc, "
+                        "or a CPU on which glibc already runs its SSE2 variants)")
     elif run["openblas"] is None or run["openblas"] == openblas_core():
         pytest.skip(f"{var}={value} leaves numpy's OpenBLAS on its {run['openblas']} kernels "
                     "(a build without DYNAMIC_ARCH, or this CPU's own kernel set)")
@@ -177,7 +199,8 @@ def test_digests_hold_under_other_cpu_kernels(pinned, elsewhere, var, value):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--to"]:  # what test_digests_hold_under_other_cpu_kernels reads
-        report = {"table": table(), "openblas": openblas_core(), "numpy_X86_V4": numpy_has("X86_V4")}
+        report = {"table": table(), "openblas": openblas_core(), "numpy_X86_V4": numpy_has("X86_V4"),
+                  "libm_exp": libm_exp()}
         Path(sys.argv[2]).write_text(json.dumps(report))
     else:
         (GOLDEN / "digests.json").write_text(json.dumps(table(), indent=2, sort_keys=True) + "\n")

@@ -3,7 +3,9 @@ standard library alone, and preprocess, quality and train-probe need numpy but
 not scipy, which no module of the package imports. Only eval and report load
 `lesionprep.evaluation` and the `fractions` module it uses. No subcommand
 loads `numpy.random`, which `import numpy` leaves out: train-probe draws its
-batches from the package's one generator, `dataset.Xoshiro256StarStar`.
+batches from the package's one generator, `dataset.Xoshiro256StarStar`. The
+CLI writes its stderr lines itself, so only `preprocess --jobs 2` loads
+`logging`, through `concurrent.futures`.
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early.
@@ -28,7 +30,7 @@ GUARD = """
 import json, sys
 from lesionprep.cli import main
 code = main(sys.argv[2:])
-loaded = [name for name in ("numpy", "numpy.random", "scipy", "lesionprep.evaluation", "fractions")
+loaded = [name for name in ("numpy", "numpy.random", "scipy", "lesionprep.evaluation", "fractions", "logging")
           if name in sys.modules]
 with open(sys.argv[1], "w") as f:
     json.dump({"code": code, "loaded": loaded}, f)
@@ -37,8 +39,8 @@ with open(sys.argv[1], "w") as f:
 
 def run_fresh(tmp_path, *argv):
     """Runs ``lesionprep.cli.main(argv)`` in a new interpreter; returns its
-    exit code and which of numpy, numpy.random, scipy, lesionprep.evaluation
-    and fractions it left in ``sys.modules``."""
+    exit code and which of numpy, numpy.random, scipy, lesionprep.evaluation,
+    fractions and logging it left in ``sys.modules``."""
     result = tmp_path / "guard.json"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     subprocess.run(
@@ -99,4 +101,5 @@ def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_preprocess_imports_no_scipy(inputs, tmp_path, jobs):
     argv = commands(inputs, tmp_path)["preprocess"] + ["--jobs", jobs]
-    assert run_fresh(tmp_path, *argv) == (0, ["numpy"])
+    # the process pool's concurrent.futures imports logging itself
+    assert run_fresh(tmp_path, *argv) == (0, ["numpy"] + ["logging"] * (jobs > 1))

@@ -87,16 +87,27 @@ def uniform_image(r, g, b, size=4):
 
 
 def luma_oracle(r, g, b) -> np.ndarray:
-    """BT.601 luma in float64, round half up, as it was computed before the
-    per-channel tables of ``probe._luma``; broadcasts over the three channels."""
+    """BT.601 luma 0.299 R + 0.587 G + 0.114 B rounded half up, from the
+    quotient and remainder of the exact integer 1000 Y; broadcasts over the
+    three channels."""
+    thousand_y = 299 * np.asarray(r, np.int64) + 587 * np.asarray(g, np.int64) + 114 * np.asarray(b, np.int64)
+    q, rem = np.divmod(thousand_y, 1000)
+    return (q + (rem >= 500)).astype(np.uint8)
+
+
+def float_luma(r, g, b) -> np.ndarray:
+    """floor(0.299 R + 0.587 G + 0.114 B + 0.5) in float64: the luma the edge
+    feature took before it was computed in integers."""
     y = 0.299 * np.asarray(r, np.float64) + 0.587 * np.asarray(g, np.float64) + 0.114 * np.asarray(b, np.float64)
-    return np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
+    return np.floor(y + 0.5).astype(np.uint8)
 
 
-def luma(image: Image) -> np.ndarray:
-    """``probe._luma`` of a whole image, as uint8."""
-    levels = np.moveaxis(image.pixels, -1, 0).astype(np.intp)
-    return probe._luma(levels, np.empty(levels.shape[1:])).astype(np.uint8)
+def luma(pixel) -> int:
+    """The luma that extract_features gives ``pixel``, read back from the edge
+    feature of the 1x2 image (pixel, black): both Sobel x responses there are
+    -4 Y and both y responses 0, so feature 54 is 4 Y / _SOBEL_MAX."""
+    f = extract_features(Image(np.array([[pixel, (0, 0, 0)]], np.uint8)))[54]
+    return round(f * probe._SOBEL_MAX / 4)
 
 
 rgb_arrays = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
@@ -123,34 +134,43 @@ def edge_oracle(img):
     return total / (h * w) / (1020 * math.sqrt(2))
 
 
+
+
 class TestLuma:
     def test_white_and_black(self):
-        img = Image(np.array([[[255, 255, 255]], [[0, 0, 0]]], np.uint8))
-        assert luma(img).ravel().tolist() == [255, 0]
+        assert [luma((255, 255, 255)), luma((0, 0, 0))] == [255, 0]
 
     def test_pure_red_rounds_to_76(self):
-        img = Image(np.array([[[255, 0, 0]]], np.uint8))
-        assert luma(img)[0, 0] == 76  # round(76.245)
+        assert luma((255, 0, 0)) == 76  # round(76.245)
 
-    def test_matches_float_formula_on_every_triple(self):
-        # all 2^24 triples, one 256x256 image per red level whose rows run
-        # over green and whose columns run over blue; small enough to stay
-        # in cache, which keeps the whole check near 0.5 s
-        levels = np.arange(256, dtype=np.uint8)
-        pixels = np.empty((256, 256, 3), np.uint8)
-        pixels[..., 1] = levels[:, None]
-        pixels[..., 2] = levels
+    def test_a_tie_rounds_up(self):
+        # 0.587 * 36 + 0.114 * 12 is 22.5 exactly; the float64 formula gave 22
+        assert luma((0, 36, 12)) == 23
+
+    def test_exact_formula_on_every_triple(self):
+        # all 2^24 triples, one 256x256 plane per red level whose rows run
+        # over green and whose columns run over blue. The float64 formula is
+        # one below on 3,464 of them, each an exact tie that it rounded down;
+        # extract_features rounds each of those half up
+        levels = np.arange(256)
+        green, blue = levels[:, None], levels
+        float_ties = []
         for red in range(256):
-            pixels[..., 0] = red
-            got = luma(Image(pixels))
-            assert np.array_equal(got, luma_oracle(red, levels[:, None], levels)), red
+            exact = luma_oracle(red, green, blue)
+            assert np.array_equal(exact, (299 * red + 587 * green + 114 * blue + 500) // 1000), red
+            below = exact.astype(int) - float_luma(red, green, blue)
+            assert below.min() == 0 and below.max() <= 1, red
+            float_ties += [(red, int(g), int(b)) for g, b in zip(*np.nonzero(below))]
+        assert len(float_ties) == 3464
+        weights = Fraction("0.299"), Fraction("0.587"), Fraction("0.114")
+        for pixel in float_ties:
+            y = sum(w * v for w, v in zip(weights, pixel))
+            assert y.denominator == 2 and luma(pixel) == math.floor(y + Fraction(1, 2)), pixel
 
     def test_monotone_in_uniform_scaling(self, rng):
         for _ in range(100):
             px = rng.integers(0, 200, size=3)
-            lo = Image(px.reshape(1, 1, 3).astype(np.uint8))
-            hi = Image((px + rng.integers(0, 56, size=3)).reshape(1, 1, 3).astype(np.uint8))
-            assert luma(hi)[0, 0] >= luma(lo)[0, 0]
+            assert luma(px + rng.integers(0, 56, size=3)) >= luma(px)
 
 
 def sobel_oracle(gray):
@@ -411,6 +431,7 @@ class TestExtractFeatures:
     @example(np.zeros((1, 1, 3), np.uint8))
     @example(np.full((1, 40, 3), 255, np.uint8))
     @example(np.arange(120, dtype=np.uint8).reshape(40, 1, 3))
+    @example(np.array([[[0, 36, 12], [0, 0, 0]]], np.uint8))  # a luma tie, 22.5
     def test_matches_oracle_byte_for_byte(self, pixels):
         assert_matches_oracles(Image(pixels))
 
@@ -431,8 +452,8 @@ class TestExtractFeatures:
 
     def test_allocates_at_most_1_2_float64_planes(self):
         # one float64 plane of the 224x224 golden image is 401,408 bytes; the
-        # peak, about 480 KB, is the buffers and temporaries of one 26-row
-        # block (levels in intp, luma, roots, Sobel), and no whole-frame plane
+        # peak, about 360 KB, is the buffers and temporaries of one 26-row
+        # block (levels and luma in int32, roots, Sobel), and no whole-frame plane
         img = golden_image("hairy")
         assert traced_peak(lambda: extract_features(img)) <= 1.2 * img.height * img.width * 8
 

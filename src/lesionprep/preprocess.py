@@ -386,11 +386,10 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     src = image.pixels.reshape(-1, 3)
     out = src.copy()
     two = has_a & has_b
-    va = src[side_a[two]].astype(np.float64)
-    vb = src[side_b[two]].astype(np.float64)
-    da = dist_a[two, None]
-    db = dist_b[two, None]
-    out[pixels[two]] = np.floor((db * va + da * vb) / (da + db) + 0.5).astype(np.uint8)
+    va, vb = src[side_a[two]], src[side_b[two]]
+    da, db = dist_a[two, None], dist_b[two, None]
+    # (db * va + da * vb) / (da + db) rounded half up, in integers
+    out[pixels[two]] = (2 * (db * va + da * vb) + da + db) // (2 * (da + db))
     only_a = has_a & ~has_b
     out[pixels[only_a]] = src[side_a[only_a]]
     only_b = has_b & ~has_a

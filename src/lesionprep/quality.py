@@ -3,21 +3,20 @@ MSE, PSNR = 10*log10(255^2 / MSE) in dB, MAXERR (the largest absolute sample
 deviation) and L2RAT = sum(test^2) / sum(reference^2).
 
 All four pool the three color channels into one sample set and assume a peak
-value of 255. PSNR of identical images is the +inf sentinel, serialized as
-the token "inf".
-
-The three sums of squares (reference, test, difference) are integer sums on
-the uint8 samples, with no float copy: each sample is squared into uint16, the
-squares are added in uint64, and |d| is max - min in uint8. They are exact, in
-any order of summation, while N * 255^2 < 2^64 for N samples, and convert to
-float exactly below 2^53; so MSE = float(sum d^2) / N and L2RAT =
-float(sum test^2) / float(sum ref^2) each round once, in the division.
+value of 255. The sums of squares (reference, test, difference) square each
+uint8 sample into uint16 and add in uint64, with |d| = max - min in uint8, so
+they are exact integers while N * 255^2 < 2^64 for N samples. MSE and L2RAT
+are exact `Fraction`s of them. PSNR is a `Decimal`: 10 * log10(255^2 * N / S)
+at 40 digits, where the division and the correctly rounded log10 each round
+once; exact when 255^2 / MSE is a power of ten, INF (the token "inf") for
+identical images. No metric passes through a float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,16 +24,17 @@ import numpy as np
 from .dataset import csv_text
 from .raster import GrayImage, Image
 
-PEAK_SQUARED = 255.0 * 255.0
+PEAK_SQUARED = 255 * 255
+INF = Decimal("Infinity")
 
 
 @dataclass(frozen=True)
 class QualityRow:
     image_id: str
-    psnr: float  # dB; math.inf when mse == 0
-    mse: float
+    psnr: Decimal  # dB; INF when mse == 0
+    mse: Fraction
     maxerr: int
-    l2rat: float
+    l2rat: Fraction
     width: int
     height: int
 
@@ -58,13 +58,15 @@ def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayI
         raise ValueError("l2rat undefined for an all-zero reference")
     d = np.maximum(ref, t)
     d -= np.minimum(ref, t)
-    m = float(_sum_squares(d)) / len(d)
+    s = _sum_squares(d)
+    with localcontext(Context(prec=40)):
+        psnr = INF if s == 0 else 10 * (Decimal(PEAK_SQUARED * len(d)) / s).log10()
     return QualityRow(
         image_id=image_id,
-        psnr=math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m),
-        mse=m,
+        psnr=psnr,
+        mse=Fraction(s, len(d)),
         maxerr=int(d.max()),
-        l2rat=float(_sum_squares(t)) / float(denom),
+        l2rat=Fraction(_sum_squares(t), denom),
         width=reference.width,
         height=reference.height,
     )
@@ -84,30 +86,28 @@ def quality_report(pairs: Iterable[tuple[str, Image | GrayImage, Image | GrayIma
     return rows
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
+def _fmt(value: Fraction | Decimal) -> str:
+    """The exact value rounded once to 4 places, half to even; INF is 'inf'."""
+    if value == INF:
         return "inf"
-    return f"{value:.4f}"
+    return str(Decimal(round(Fraction(value) * 10_000)).scaleb(-4))
 
 
 REPORT_HEADER = ("id", "psnr_db", "mse", "maxerr", "l2rat", "width", "height")
 
 
 def format_quality_report(rows: Sequence[QualityRow]) -> str:
-    """CSV rendering; 4 decimal places, round half even, psnr token 'inf'.
-    Ids are quoted as CSV needs, so any path reads back as one field.
-
-    A trailing 'mean' row, when there are rows, summarizes the finite PSNRs
-    and the other metric columns.
+    """CSV rendering: each metric cell is its exact value rounded once to 4
+    places, half to even, and an infinite PSNR reads 'inf'. Ids are quoted as
+    CSV needs. A trailing 'mean' row, when there are rows, holds the exact
+    mean of each metric column, of the finite PSNRs only.
     """
     records = [REPORT_HEADER]
     for r in rows:
         records.append([r.image_id, _fmt(r.psnr), _fmt(r.mse), r.maxerr, _fmt(r.l2rat), r.width, r.height])
     if rows:
-        finite = [r.psnr for r in rows if not math.isinf(r.psnr)]
-        mean_psnr = sum(finite) / len(finite) if finite else math.inf
-        mean_mse = sum(r.mse for r in rows) / len(rows)
-        mean_maxerr = sum(r.maxerr for r in rows) / len(rows)
-        mean_l2rat = sum(r.l2rat for r in rows) / len(rows)
-        records.append(["mean", _fmt(mean_psnr), _fmt(mean_mse), _fmt(mean_maxerr), _fmt(mean_l2rat), "", ""])
+        columns = ([r.psnr for r in rows if r.psnr != INF], [r.mse for r in rows],
+                   [r.maxerr for r in rows], [r.l2rat for r in rows])
+        means = (sum(map(Fraction, c)) / len(c) if c else INF for c in columns)
+        records.append(["mean", *map(_fmt, means), "", ""])
     return csv_text(records)

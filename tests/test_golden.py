@@ -11,7 +11,8 @@ and of ``extract_features(...).tobytes()`` for the raw and the refined image.
 Under ``probe`` it holds the sha256 of ``format_model`` and ``format_curve``
 of a probe trained on those features with ``TRAIN_CONFIG``, and under
 ``gaussian_taps`` that of the sharpen's Gaussian taps for each sigma in
-``TAP_SIGMAS``.
+``TAP_SIGMAS``. Under ``quality`` it holds, for each config, the sha256 of
+``format_quality_report`` over the (raw, refined) pair of each input.
 
 The same table must come out when numpy's AVX-512 kernels are switched off,
 under two other OpenBLAS kernel sets, and with glibc's AVX2 and FMA variants
@@ -40,6 +41,7 @@ import lesionprep
 from lesionprep.cli import _load_image, _preprocess_one
 from lesionprep.preprocess import PreprocessConfig, _gaussian_kernel
 from lesionprep.probe import TrainConfig, extract_features, format_curve, format_model, train_probe
+from lesionprep.quality import format_quality_report, quality_report
 from lesionprep.raster import decode_netpbm
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -71,28 +73,33 @@ def sha(data: bytes) -> str:
 def refine(name: str, fields: dict, out_dir: Path):
     """Preprocesses one golden input in ``out_dir`` as the CLI does; returns
     the digests of its two output files, the masked pixel count and the
-    refined image's features."""
+    refined image."""
     src = GOLDEN / f"{name}.ppm"
     pre, mask = out_dir / f"{name}.pre.ppm", out_dir / f"{name}.mask.pgm"
     _, masked = _preprocess_one((name, str(src), str(pre), str(mask), PreprocessConfig(**fields)))
-    features = extract_features(decode_netpbm(pre.read_bytes()))
-    return {"pre_ppm": sha(pre.read_bytes()), "mask_pgm": sha(mask.read_bytes()), "masked_pixels": masked}, features
+    digests = {"pre_ppm": sha(pre.read_bytes()), "mask_pgm": sha(mask.read_bytes()), "masked_pixels": masked}
+    return digests, decode_netpbm(pre.read_bytes())
 
 
 def table() -> dict:
     """Every digest that ``digests.json`` pins, computed afresh."""
     out, rows, labels, raws = {}, [], [], []
+    pairs = {config: [] for config in CONFIGS}
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS:
-            raws.append(extract_features(_load_image(GOLDEN / f"{name}.ppm")))
+            raw = _load_image(GOLDEN / f"{name}.ppm")
+            raws.append(extract_features(raw))
             out[name] = {"raw_features": sha(raws[-1].tobytes())}
             for config, fields in CONFIGS.items():
-                digests, features = refine(name, fields, Path(tmp))
+                digests, refined = refine(name, fields, Path(tmp))
+                features = extract_features(refined)
                 out[name][config] = digests | {"refined_features": sha(features.tobytes())}
                 rows.append(features)
                 labels.append(int(name == "hairy"))
+                pairs[config].append((name, raw, refined))
     model, curve = train_probe(np.array(rows), np.array(labels), np.array(raws), np.array([1, 0]), TRAIN_CONFIG)
     out["probe"] = {"model": sha(format_model(model).encode()), "curve": sha(format_curve(curve).encode())}
+    out["quality"] = {config: sha(format_quality_report(quality_report(p)).encode()) for config, p in pairs.items()}
     out["gaussian_taps"] = sha(b"".join(_gaussian_kernel(sigma).tobytes() for sigma in TAP_SIGMAS))
     return out
 
@@ -156,6 +163,11 @@ def test_trained_probe(pinned, computed):
 
 def test_gaussian_taps(pinned, computed):
     assert computed["gaussian_taps"] == pinned["gaussian_taps"]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_quality_table(pinned, computed, config):
+    assert computed["quality"][config] == pinned["quality"][config]
 
 
 def test_hairy_default_mask_exercises_labelling(pinned):

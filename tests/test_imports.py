@@ -1,11 +1,11 @@
 """Each subcommand imports only what it runs: split, eval and report run on the
 standard library alone, and preprocess, quality and train-probe need numpy but
 not scipy, which no module of the package imports. Only eval and report load
-`lesionprep.evaluation` and the `fractions` module it uses. No subcommand
-loads `numpy.random`, which `import numpy` leaves out: train-probe draws its
-batches from the package's one generator, `dataset.Xoshiro256StarStar`. The
-CLI writes its stderr lines itself, so only `preprocess --jobs 2` loads
-`logging`, through `concurrent.futures`.
+`lesionprep.evaluation`; they and quality load `fractions`, for their exact
+metrics. No subcommand loads `numpy.random`, which `import numpy` leaves out:
+train-probe draws its batches from the package's one generator,
+`dataset.Xoshiro256StarStar`. The CLI writes its stderr lines itself, so only
+`preprocess --jobs 2` loads `logging`, through `concurrent.futures`.
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early.
@@ -95,7 +95,8 @@ def test_stdlib_only_subcommands_import_no_numpy(inputs, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["quality", "train-probe"])
 def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
-    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, ["numpy"])
+    exact = ["fractions"] if command == "quality" else []  # quality's exact MSE and L2RAT
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, ["numpy"] + exact)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

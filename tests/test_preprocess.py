@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -153,6 +153,14 @@ def _sample_outward(bits: np.ndarray, y: int, x: int, dy: int, dx: int, start: i
         step += 1
 
 
+def float_two_sided_mean(va, vb, da, db) -> np.ndarray:
+    """The distance-weighted mean of two samples by float64 arithmetic, the
+    form ``inpaint_hair`` used before its integer one: side a, at distance
+    da, is weighted by db."""
+    va, vb = np.asarray(va, np.float64), np.asarray(vb, np.float64)
+    return np.floor((db * va + da * vb) / (da + db) + 0.5).astype(np.uint8)
+
+
 def inpaint_oracle(pixels: np.ndarray, bits: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     """Walk every masked pixel's four lines one step at a time."""
     out = pixels.copy()
@@ -177,9 +185,7 @@ def inpaint_oracle(pixels: np.ndarray, bits: np.ndarray, config: PreprocessConfi
             continue
         ya, xa, da = side_a
         yb, xb, db = side_b
-        va = pixels[ya, xa].astype(np.float64)
-        vb = pixels[yb, xb].astype(np.float64)
-        out[y, x] = np.floor((db * va + da * vb) / (da + db) + 0.5).astype(np.uint8)
+        out[y, x] = float_two_sided_mean(pixels[ya, xa], pixels[yb, xb], da, db)
     return out
 
 
@@ -677,6 +683,39 @@ class TestInpaintHair:
         cfg = PreprocessConfig(interp_margin=margin)
         got = inpaint_hair(Image(pixels), HairMask(bits), cfg)
         assert np.array_equal(got.pixels, inpaint_oracle(pixels, bits, cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 997), st.integers(1, 3), hnp.arrays(np.uint8, (2, 3)))
+    @example(997, 3, np.array([[0, 255, 1], [255, 0, 254]], np.uint8))
+    def test_two_sided_mean_matches_the_float_form_up_to_distance_999(self, run, margin, ends):
+        # one row: one side sample at each end, margin - 1 unmasked pixels,
+        # then the run; a row has no other line with two sides
+        width = run + 2 * margin
+        pixels = np.zeros((1, width, 3), np.uint8)
+        pixels[0, 0], pixels[0, -1] = ends
+        bits = np.zeros((1, width), bool)
+        bits[0, margin : margin + run] = True
+        got = inpaint_hair(Image(pixels), HairMask(bits), PreprocessConfig(interp_margin=margin))
+        x = np.arange(margin, margin + run)[:, None]
+        want = float_two_sided_mean(ends[1], ends[0], width - 1 - x, x)
+        assert np.array_equal(got.pixels[0, margin : margin + run], want)
+
+    @pytest.mark.parametrize("run", range(1, 7))
+    def test_two_sided_mean_matches_the_float_form_for_every_pair_of_samples(self, run):
+        # every (left, right) pair of sample values, three to a segment, each
+        # segment a [left, masked run, right] stretch of one row
+        pairs = np.stack(np.meshgrid(np.arange(256), np.arange(256)), axis=-1).reshape(-1, 2)
+        pairs = np.concatenate([pairs, pairs[:2]]).reshape(-1, 3, 2)
+        left, right = pairs[..., 0], pairs[..., 1]
+        segments = np.zeros((len(pairs), run + 2, 3), np.uint8)
+        segments[:, 0], segments[:, -1] = left, right
+        bits = np.zeros(segments.shape[:2], bool)
+        bits[:, 1:-1] = True
+        got = inpaint_hair(Image(segments.reshape(1, -1, 3)), HairMask(bits.reshape(1, -1)),
+                           PreprocessConfig(interp_margin=1))
+        x = np.arange(1, run + 1)[None, :, None]
+        want = float_two_sided_mean(right[:, None], left[:, None], run + 1 - x, x)
+        assert np.array_equal(got.pixels.reshape(segments.shape)[:, 1:-1], want)
 
 
 # ---------------------------------------------------------------- smoothing

@@ -1,12 +1,14 @@
 import math
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lesionprep.quality import PEAK_SQUARED, QualityRow, format_quality_report, quality_report, quality_row
+from lesionprep.quality import QualityRow, format_quality_report, quality_report, quality_row
 from lesionprep.raster import GrayImage, Image
 
 from test_preprocess import golden_image, traced_peak
@@ -38,27 +40,75 @@ def row(reference, test):
     return quality_row("t", reference, test)
 
 
+def psnr_of(mse: Fraction, digits: int = 80) -> Decimal:
+    """10*log10(255^2 / mse) from the exact MSE, at ``digits`` digits."""
+    if mse == 0:
+        return Decimal("Infinity")
+    with localcontext(Context(prec=digits)):
+        return 10 * (Decimal(255**2 * mse.denominator) / mse.numerator).log10()
+
+
+def assert_psnr_close(got: Decimal, want: Decimal):
+    """40 significant digits hold a PSNR below 1000 dB within 1e-36."""
+    assert isinstance(got, Decimal)
+    assert got == want if want.is_infinite() else abs(got - want) < Decimal("1e-35")
+
+
 def quality_oracle(image_id, reference, test) -> QualityRow:
-    """The four metrics by whole-array float64 formulas."""
+    """The four metrics from Python ints, one sample at a time: MSE and L2RAT
+    as Fractions, PSNR by ``psnr_of`` at 80 digits."""
     def samples(image):
         arr = image.pixels if isinstance(image, Image) else image.values
-        return arr.astype(np.float64).ravel()
+        return arr.ravel().tolist()
 
     ref, t = samples(reference), samples(test)
-    d = ref - t
-    m = float(np.mean(d * d))
-    denom = float(np.sum(ref * ref))
+    d = [a - b for a, b in zip(ref, t)]
+    denom = sum(v * v for v in ref)
     if denom == 0:
         raise ValueError("l2rat undefined for an all-zero reference")
+    m = Fraction(sum(v * v for v in d), len(d))
     return QualityRow(
         image_id=image_id,
-        psnr=math.inf if m == 0 else 10.0 * math.log10(PEAK_SQUARED / m),
+        psnr=psnr_of(m),
         mse=m,
-        maxerr=int(np.max(np.abs(d))),
-        l2rat=float(np.sum(t * t)) / denom,
+        maxerr=max(abs(v) for v in d),
+        l2rat=Fraction(sum(v * v for v in t), denom),
         width=reference.width,
         height=reference.height,
     )
+
+
+def assert_matches_oracle(got: QualityRow, want: QualityRow):
+    """Every field equal, the exact ones exactly; PSNR within 1e-35."""
+    assert isinstance(got.mse, Fraction) and isinstance(got.l2rat, Fraction)
+    assert_psnr_close(got.psnr, want.psnr)
+    fields = ("image_id", "mse", "maxerr", "l2rat", "width", "height")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def flat_with_one_pixel(shape, value, pixel_value):
+    """An image of ``value`` and a copy whose first pixel is ``pixel_value``."""
+    wrap = Image if len(shape) == 3 else GrayImage
+    reference = np.full(shape, value, np.uint8)
+    test = reference.copy()
+    test[0, 0] = pixel_value
+    return wrap(reference), wrap(test)
+
+
+# id -> ((reference, test), the report's row and mean lines). The first two
+# are exact 4-place ties that a float MSE or L2RAT rounds up; the third has
+# 255^2/MSE = 100.
+EXACT_CASES = {
+    # MSE = 3 / 60000 = 0.00005
+    "mse_tie": (flat_with_one_pixel((100, 200, 3), 100, 101),
+                ["mse_tie,91.1411,0.0000,1,1.0000,200,100", "mean,91.1411,0.0000,1.0000,1.0000,,"]),
+    # L2RAT = 1 / 20000 = 0.00005
+    "l2rat_tie": ((gray([[100, 100]]), gray([[1, 0]])),
+                  ["l2rat_tie,8.1742,9900.5000,100,0.0000,2,1", "mean,8.1742,9900.5000,100.0000,0.0000,,"]),
+    # MSE = 51^2 / 4 = 650.25
+    "int_psnr": (flat_with_one_pixel((2, 2), 100, 151),
+                 ["int_psnr,20.0000,650.2500,51,1.3200,2,2", "mean,20.0000,650.2500,51.0000,1.3200,,"]),
+}
 
 
 @st.composite
@@ -83,7 +133,10 @@ def image_pairs(draw):
 class TestOracle:
     @settings(max_examples=200, deadline=None)
     @given(image_pairs())
-    def test_every_field_equals_the_whole_array_formulas(self, pair):
+    @example(EXACT_CASES["mse_tie"][0])
+    @example(EXACT_CASES["l2rat_tie"][0])
+    @example(EXACT_CASES["int_psnr"][0])
+    def test_every_field_equals_the_exact_formulas(self, pair):
         reference, test = pair
         try:
             want = quality_oracle("p", reference, test)
@@ -91,14 +144,19 @@ class TestOracle:
             with pytest.raises(ValueError, match=str(exc)):
                 quality_row("p", reference, test)
             return
-        assert quality_row("p", reference, test) == want
+        assert_matches_oracle(quality_row("p", reference, test), want)
 
     def test_all_zero_test_against_all_255_reference(self):
         reference = Image(np.full((64, 64, 3), 255, np.uint8))
         test = Image(np.zeros((64, 64, 3), np.uint8))
         got = quality_row("x", reference, test)
-        assert got == quality_oracle("x", reference, test)
-        assert (got.psnr, got.mse, got.maxerr, got.l2rat) == (0.0, 65025.0, 255, 0.0)
+        assert_matches_oracle(got, quality_oracle("x", reference, test))
+        assert (got.psnr, got.mse, got.maxerr, got.l2rat) == (0, 65025, 255, 0)
+
+    def test_a_power_of_ten_ratio_gives_an_exact_psnr(self):
+        got = quality_row("x", *EXACT_CASES["int_psnr"][0])
+        assert isinstance(got.psnr, Decimal)
+        assert (got.psnr, got.mse) == (Decimal(20), Fraction(2601, 4))
 
 
 class TestAllocationBudget:
@@ -151,7 +209,7 @@ class TestPsnr:
             a = Image(rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8))
             b = Image(rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8))
             r = row(a, b)
-            assert r.psnr == pytest.approx(10 * math.log10(65025 / r.mse), rel=1e-9)
+            assert_psnr_close(r.psnr, psnr_of(r.mse))
 
 
 class TestMaxerr:
@@ -205,9 +263,7 @@ class TestReport:
         a = Image(rng.integers(0, 256, size=(5, 5, 3), dtype=np.uint8))
         b = Image(rng.integers(0, 256, size=(5, 5, 3), dtype=np.uint8))
         row = quality_row("x", a, b)
-        sq_sum = 0.0
-        max_dev = 0
-        e_ref = e_test = 0.0
+        sq_sum = max_dev = e_ref = e_test = 0
         for pa, pb in zip(a.pixels.reshape(-1), b.pixels.reshape(-1)):
             d = int(pa) - int(pb)
             sq_sum += d * d
@@ -215,10 +271,10 @@ class TestReport:
             e_ref += int(pa) ** 2
             e_test += int(pb) ** 2
         n = 75
-        assert row.mse == pytest.approx(sq_sum / n)
+        assert row.mse == Fraction(sq_sum, n)
         assert row.maxerr == max_dev
-        assert row.l2rat == pytest.approx(e_test / e_ref)
-        assert row.psnr == pytest.approx(10 * math.log10(65025 / (sq_sum / n)))
+        assert row.l2rat == Fraction(e_test, e_ref)
+        assert_psnr_close(row.psnr, psnr_of(Fraction(sq_sum, n)))
 
     def test_failing_pair_names_id(self):
         good = gray([[1]])
@@ -237,3 +293,19 @@ class TestReport:
         a, b = gray([[10, 20]]), gray([[10, 14]])
         text = format_quality_report(quality_report([("a", a, b)]))
         assert text.splitlines()[-1].startswith("mean,")
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_each_cell_rounds_the_exact_value_once(self, case):
+        (reference, test), lines = EXACT_CASES[case]
+        text = format_quality_report(quality_report([(case, reference, test)]))
+        assert text.splitlines() == ["id,psnr_db,mse,maxerr,l2rat,width,height", *lines]
+
+    def test_mean_row_is_the_mean_of_exact_values(self):
+        # MSEs 3, 6 and 0 in 60000 average to exactly 0.00005, a tie; the
+        # PSNR mean is that of the two finite rows
+        (a, b), _ = EXACT_CASES["mse_tie"]
+        pixels = b.pixels.copy()
+        pixels[0, 1] = 101
+        c = Image(pixels)
+        text = format_quality_report(quality_report([("x", a, b), ("y", a, c), ("z", a, a)]))
+        assert text.splitlines()[-1] == "mean,89.6360,0.0000,0.6667,1.0000,,"

@@ -140,6 +140,10 @@ def cmd_preprocess(args) -> int:
     images_root = Path(args.images_root)
     out_root = Path(args.out_root)
     outputs = _out_paths(args.manifest, entries, out_root)
+    inputs = {os.path.abspath(images_root / e.path): e.path for e in entries}
+    for e, out in ((e, out) for e, pair in zip(entries, outputs) for out in pair):
+        if (src := inputs.get(os.path.abspath(out))) is not None:
+            raise ValueError(f"{args.manifest}: output {out} of {e.path!r} would overwrite the input {src!r}")
     out_root.mkdir(parents=True, exist_ok=True)
     if not entries:
         print("WARNING empty manifest: nothing to do", file=sys.stderr)
@@ -268,10 +272,10 @@ def cmd_report(args) -> int:
     `confusion` counts; the stored `metrics` are not read."""
     from . import evaluation
 
-    def saved_report(path: Path) -> evaluation.MetricsReport:
+    def saved_report(path: Path) -> evaluation.ConfusionMatrix:
         payload = json.loads(path.read_bytes())
         try:
-            return evaluation.MetricsReport(evaluation.ConfusionMatrix(**payload["confusion"]))
+            return evaluation.ConfusionMatrix(**payload["confusion"])
         except (KeyError, TypeError) as exc:  # a missing, unknown or ill-typed field
             raise ValueError(str(exc)) from exc
 

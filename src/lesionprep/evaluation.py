@@ -1,19 +1,19 @@
 """Classifier-agnostic evaluation: prediction-log parsing, confusion matrix,
 and accuracy / sensitivity / specificity / precision / F1 in percent.
 
-The positive class is fixed to malignant. The metrics are the properties of
-`MetricsReport`: each is an exact `fractions.Fraction` computed from the four
-confusion counts, so a report can never disagree with its counts. Undefined
-ratios (empty denominator) are returned as None and rendered "n/a", never
-silently 0 or 100. Renderings round each exact value once: to two decimals
-half to even, or to the published table's whole percentages (see
-`paper_rounding`).
+The positive class is fixed to malignant. `metrics_report` returns the
+`ConfusionMatrix` of a log, and the metrics are its properties: each is an
+exact `fractions.Fraction` computed from the four counts, so a report can
+never disagree with its counts. Undefined ratios (empty denominator) are
+returned as None and rendered "n/a", never silently 0 or 100. Renderings
+round each exact value once: to two decimals half to even, or to the
+published table's whole percentages (see `paper_rounding`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,8 +31,14 @@ class PredictionRecord:
     truth: str
 
 
+def _percent(part: int, whole: int) -> Optional[Fraction]:
+    return None if whole == 0 else Fraction(100 * part, whole)
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """The four counts, and the five metrics computed from them on access."""
+
     tp: int
     fp: int
     fn: int
@@ -48,50 +54,34 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-
-def _percent(part: int, whole: int) -> Optional[Fraction]:
-    return None if whole == 0 else Fraction(100 * part, whole)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """The five metrics, each computed from `confusion` on access."""
-
-    confusion: ConfusionMatrix
-
     @property
     def accuracy(self) -> Fraction:
-        cm = self.confusion
-        if cm.total == 0:
+        if self.total == 0:
             raise ValueError("empty confusion matrix")
-        return _percent(cm.tp + cm.tn, cm.total)
+        return _percent(self.tp + self.tn, self.total)
 
     @property
     def sensitivity(self) -> Optional[Fraction]:
         """True positive rate; None when there are no positives."""
-        return _percent(self.confusion.tp, self.confusion.tp + self.confusion.fn)
+        return _percent(self.tp, self.tp + self.fn)
 
     @property
     def specificity(self) -> Optional[Fraction]:
         """True negative rate; None when there are no negatives."""
-        return _percent(self.confusion.tn, self.confusion.tn + self.confusion.fp)
+        return _percent(self.tn, self.tn + self.fp)
 
     @property
     def precision(self) -> Optional[Fraction]:
         """Positive predictive value; None when nothing was predicted positive."""
-        return _percent(self.confusion.tp, self.confusion.tp + self.confusion.fp)
+        return _percent(self.tp, self.tp + self.fp)
 
     @property
     def f1(self) -> Optional[Fraction]:
-        """F1 of this report's own precision and sensitivity."""
+        """F1 of this matrix's own precision and sensitivity."""
         sens, prec = self.sensitivity, self.precision
         if sens is None or prec is None or sens + prec == 0:
             return None
         return f1(prec, sens)
-
-
-class PredictionLogError(ValueError):
-    pass
 
 
 def _parse_confidence(token: str, lineno: int) -> float:
@@ -101,9 +91,9 @@ def _parse_confidence(token: str, lineno: int) -> float:
         else:
             value = float(token)
     except ValueError:
-        raise PredictionLogError(f"line {lineno}: bad confidence {token!r}") from None
+        raise ValueError(f"line {lineno}: bad confidence {token!r}") from None
     if not 0.0 <= value <= 1.0 or math.isnan(value):
-        raise PredictionLogError(f"line {lineno}: confidence {token!r} out of [0, 1]")
+        raise ValueError(f"line {lineno}: confidence {token!r} out of [0, 1]")
     return value
 
 
@@ -114,19 +104,16 @@ def parse_prediction_log(data: bytes | str) -> list[PredictionRecord]:
     fraction ("0.978") or a percent token ("97.8%"). Errors name the offending
     line; duplicate case_ids name both lines involved.
     """
-    try:
-        rows = csv_records(data, LOG_HEADER, strip=True)
-    except ValueError as exc:
-        raise PredictionLogError(str(exc)) from None
+    rows = csv_records(data, LOG_HEADER, strip=True)
     records = []
     seen: dict[str, int] = {}
     for lineno, (case_id, predicted, confidence, truth) in rows:
         if predicted not in LABELS:
-            raise PredictionLogError(f"line {lineno}: unknown label {predicted!r}")
+            raise ValueError(f"line {lineno}: unknown label {predicted!r}")
         if truth not in LABELS:
-            raise PredictionLogError(f"line {lineno}: unknown label {truth!r}")
+            raise ValueError(f"line {lineno}: unknown label {truth!r}")
         if case_id in seen:
-            raise PredictionLogError(
+            raise ValueError(
                 f"duplicate case_id {case_id!r} on lines {seen[case_id]} and {lineno}"
             )
         seen[case_id] = lineno
@@ -136,8 +123,9 @@ def parse_prediction_log(data: bytes | str) -> list[PredictionRecord]:
     return records
 
 
-def confusion(records: Sequence[PredictionRecord]) -> ConfusionMatrix:
-    """Count tp/fp/fn/tn with malignant as the positive class."""
+def metrics_report(records: Sequence[PredictionRecord]) -> ConfusionMatrix:
+    """The confusion matrix of `records`, malignant being the positive class;
+    its properties are the metrics."""
     if not records:
         raise ValueError("no records to evaluate")
     tp = fp = fn = tn = 0
@@ -162,12 +150,7 @@ def f1(precision_pct: Fraction | float, recall_pct: Fraction | float) -> Fractio
     return 2 * precision_pct * recall_pct / (precision_pct + recall_pct)
 
 
-def metrics_report(records: Sequence[PredictionRecord]) -> MetricsReport:
-    """The metrics of `records`, from their confusion matrix."""
-    return MetricsReport(confusion(records))
-
-
-def paper_rounding(report: MetricsReport) -> dict[str, Optional[int]]:
+def paper_rounding(report: ConfusionMatrix) -> dict[str, Optional[int]]:
     """Integer display matching the published table: round half up for
     accuracy/sensitivity/specificity/precision, truncation for F1 (the table's
     F1 cells are consistent only with truncation of 2PR/(P+R))."""
@@ -180,17 +163,16 @@ def paper_rounding(report: MetricsReport) -> dict[str, Optional[int]]:
     return {name: cell(name, getattr(report, name)) for name in METRICS}
 
 
-def _two_decimals(report: MetricsReport) -> dict[str, Optional[float]]:
+def _two_decimals(report: ConfusionMatrix) -> dict[str, Optional[float]]:
     """Each metric rounded once to two decimals, half to even."""
     values = ((name, getattr(report, name)) for name in METRICS)
     return {name: None if v is None else float(round(v, 2)) for name, v in values}
 
 
-def report_to_dict(report: MetricsReport, paper_round: bool = False) -> dict:
+def report_to_dict(report: ConfusionMatrix, paper_round: bool = False) -> dict:
     """Machine-readable rendering; percentages carry two decimals."""
-    cm = report.confusion
     d = {
-        "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
+        "confusion": asdict(report),
         "metrics": _two_decimals(report),
     }
     if paper_round:
@@ -198,10 +180,10 @@ def report_to_dict(report: MetricsReport, paper_round: bool = False) -> dict:
     return d
 
 
-def render_report_text(report: MetricsReport, paper_round: bool = False) -> str:
+def render_report_text(report: ConfusionMatrix, paper_round: bool = False) -> str:
     """Human-readable rendering of the same data."""
-    cm = report.confusion
-    lines = [f"confusion (positive=malignant): tp={cm.tp} fp={cm.fp} fn={cm.fn} tn={cm.tn}"]
+    counts = " ".join(f"{k}={v}" for k, v in asdict(report).items())
+    lines = [f"confusion (positive=malignant): {counts}"]
     for name, v in _two_decimals(report).items():
         lines.append(f"{name:<13}{'n/a' if v is None else f'{v:.2f}%'}")
     if paper_round:

@@ -44,14 +44,6 @@ class HairMask:
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
     def count(self) -> int:
         return int(self.bits.sum())
 
@@ -304,8 +296,9 @@ def clean_mask(mask: HairMask, config: PreprocessConfig = PreprocessConfig()) ->
 
 
 def _check_shape(image: Image, mask: HairMask) -> None:
-    if (mask.height, mask.width) != (image.height, image.width):
-        raise ValueError(f"mask {mask.width}x{mask.height} does not match image {image.width}x{image.height}")
+    h, w = mask.bits.shape
+    if (h, w) != (image.height, image.width):
+        raise ValueError(f"mask {w}x{h} does not match image {image.width}x{image.height}")
 
 
 def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> Image:

@@ -1,6 +1,7 @@
 """Fixed-feature linear probe: a handcrafted 55-dim image descriptor plus one
-logistic unit trained by plain mini-batch gradient descent and saved as the
-2-class softmax layer it equals.
+logistic unit trained by plain mini-batch gradient descent. The model is held
+in memory as that unit's theta and saved as the 2-class softmax layer it
+equals.
 
 Feature layout (all in [0, 1]):
   [0:16]   red 16-bin histogram        (bin k covers values [16k, 16k+16))
@@ -25,10 +26,12 @@ Training runs it on theta = (v, c) over feature rows ending in a 1, at step
 2 * learning_rate: from zero init, the softmax's own descent in exact
 arithmetic. The rows are permuted once per run by the package's seeded
 xoshiro256**, and each batch is the next window of min(batch_size, n) rows of
-that permutation, wrapping from its end to its start. The model is saved as
-softmax rows (-v/2, v/2) and bias (-c/2, c/2). Sums add in index order and
-each row takes one ``math.exp``: no matmul, BLAS or ``np.exp``, so model and
-curve bytes do not depend on numpy's or BLAS's kernels. Only libm's ``exp``
+that permutation, wrapping from its end to its start. The model holds theta
+as it is; only `format_model` writes softmax rows (-v/2, v/2) and bias
+(-c/2, c/2), whose differences give theta back exactly unless some nonzero
+|theta_i| < 2^-1021, whose half rounds. Sums add in index order and each row
+takes one ``math.exp``: no matmul, BLAS or ``np.exp``, so model and curve
+bytes do not depend on numpy's or BLAS's kernels. Only libm's ``exp``
 and ``log`` remain; glibc's may differ in the last bit between versions, and
 between its FMA and SSE2 variants, under both of which the golden tests run.
 """
@@ -51,18 +54,18 @@ _SOBEL_MAX = 1020.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class LinearProbeModel:
-    weights: np.ndarray  # (2, d)
-    bias: np.ndarray     # (2,)
+    """The logistic unit theta = (v, c): d weights, then the bias. A zero is
+    held as +0.0, so that no saved token reads -0."""
+
+    theta: np.ndarray  # (d + 1,)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != 2 or b.shape != (2,):
-            raise ValueError(f"bad model shapes {w.shape}, {b.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        theta = np.asarray(self.theta, dtype=np.float64) + 0.0  # a copy, with -0.0 as +0.0
+        if theta.ndim != 1 or len(theta) == 0:
+            raise ValueError(f"theta must be d + 1 floats, got shape {theta.shape}")
+        if not np.isfinite(theta).all():
             raise ValueError("model parameters must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,7 @@ def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities (benign, malignant) of one feature vector: the
     model's softmax, computed as the logistic unit that training runs."""
-    theta = np.append(model.weights[1] - model.weights[0], model.bias[1] - model.bias[0])
-    z = _logits(theta, np.append(np.asarray(features, dtype=np.float64), 1.0)[None])
+    z = _logits(model.theta, np.append(np.asarray(features, dtype=np.float64), 1.0)[None])
     return _sigmoids(np.concatenate([-z, z]))
 
 
@@ -224,16 +226,17 @@ def train_probe(
             val_acc, val_xent = batch_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)
             curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
 
-    rows = np.stack([0.0 - theta / 2, theta / 2])  # 0 - x, so that a zero weight saves as 0, not -0
-    return LinearProbeModel(rows[:, :-1], rows[:, -1]), curve
+    return LinearProbeModel(theta), curve
 
 
 def format_model(model: LinearProbeModel) -> str:
-    """Text persistence: dims line, weight rows, bias row; 17 sig digits."""
-    lines = [f"{model.weights.shape[0]} {model.weights.shape[1]}"]
-    for row in model.weights:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append(" ".join(f"{v:.17g}" for v in model.bias))
+    """Text persistence as the 2-class softmax that theta = (v, c) equals: the
+    dims line ``2 d``, the weight rows -v/2 and v/2, and the bias row -c/2
+    c/2, each number to 17 significant digits."""
+    half = model.theta / 2
+    rows = np.stack([0.0 - half, half])  # 0 - x, so that a zero weight saves as 0, not -0
+    lines = [f"2 {len(half) - 1}", *(" ".join(f"{v:.17g}" for v in row) for row in rows[:, :-1])]
+    lines.append(" ".join(f"{v:.17g}" for v in rows[:, -1]))
     return "\n".join(lines) + "\n"
 
 

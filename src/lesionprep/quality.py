@@ -52,7 +52,7 @@ def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayI
             f"dimension mismatch: {reference.width}x{reference.height} vs "
             f"{test.width}x{test.height}"
         )
-    ref, t = reference._array.ravel(), test._array.ravel()
+    ref, t = reference.pixels.ravel(), test.pixels.ravel()
     denom = _sum_squares(ref)
     if denom == 0:
         raise ValueError("l2rat undefined for an all-zero reference")

@@ -1,14 +1,15 @@
 """8-bit raster images and a binary netpbm (P5/P6) codec.
 
-Images are thin immutable wrappers around uint8 numpy arrays. The codec is
-bit-exact: encoding is canonical (single-space header, maxval 255, one newline
-before the payload) and decode(encode(x)) == x for every valid raster.
+An Image (RGB) or a GrayImage is a frozen dataclass with one field,
+``pixels``: a read-only uint8 numpy array. The codec is bit-exact: encoding
+is canonical (single-space header, maxval 255, one newline before the
+payload) and decode(encode(x)) == x for every valid raster.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +25,19 @@ class NetpbmError(ValueError):
         self.offset = offset
 
 
+@dataclass(frozen=True, eq=False)
 class _Raster:
-    """What Image and GrayImage share. A subclass is a frozen dataclass whose
-    one field holds a read-only uint8 array of shape (height, width) +
-    ``_PIXEL``, at least 1x1. A uint8 array whose base chain ends in ``bytes``
-    (``decode_netpbm``'s view of a file read) is kept without a copy, since
-    ``bytes`` cannot change; any other input (a writable array or a view of
-    one, a ``bytearray``, a ``memoryview``) is copied."""
+    """What Image and GrayImage share: ``pixels``, a read-only uint8 array of
+    shape (height, width) + ``_PIXEL``, at least 1x1. A uint8 array whose base
+    chain ends in ``bytes`` (``decode_netpbm``'s view of a file read) is kept
+    without a copy, since ``bytes`` cannot change; any other input (a writable
+    array or a view of one, a ``bytearray``, a ``memoryview``) is copied."""
 
-    _PIXEL: tuple[int, ...]
+    pixels: np.ndarray
+    _PIXEL = ()
 
     def __post_init__(self):
-        (name,) = (f.name for f in fields(self))
-        a = np.asarray(getattr(self, name))
+        a = np.asarray(self.pixels)
         if a.ndim < 2 or a.shape[2:] != self._PIXEL or 0 in a.shape[:2]:
             dims = ", ".join(["h", "w", *map(str, self._PIXEL)])
             raise ValueError(f"expected ({dims}) array, got shape {a.shape}")
@@ -50,35 +51,30 @@ class _Raster:
         elif not isinstance(base, bytes):
             a = a.copy()
         a.setflags(write=False)
-        object.__setattr__(self, name, a)
-        object.__setattr__(self, "_array", a)
+        object.__setattr__(self, "pixels", a)
 
     @property
     def width(self) -> int:
-        return self._array.shape[1]
+        return self.pixels.shape[1]
 
     @property
     def height(self) -> int:
-        return self._array.shape[0]
+        return self.pixels.shape[0]
 
     def __eq__(self, other):
-        return isinstance(other, _Raster) and np.array_equal(self._array, other._array)
+        return isinstance(other, _Raster) and np.array_equal(self.pixels, other.pixels)
 
 
 @dataclass(frozen=True, eq=False)
 class Image(_Raster):
-    """RGB raster, 8 bits per channel. ``pixels`` has shape (height, width, 3)."""
+    """RGB raster, 8 bits per channel: ``pixels`` has shape (height, width, 3)."""
 
-    pixels: np.ndarray
     _PIXEL = (3,)
 
 
 @dataclass(frozen=True, eq=False)
 class GrayImage(_Raster):
-    """Single-channel raster. ``values`` has shape (height, width), uint8."""
-
-    values: np.ndarray
-    _PIXEL = ()
+    """Single-channel raster: ``pixels`` has shape (height, width)."""
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -139,11 +135,7 @@ def decode_netpbm(data: bytes) -> Image | GrayImage:
 
 def encode_netpbm(image: Image | GrayImage) -> bytes:
     """Encode to the canonical binary form: 'P6 w h 255\\n' + raw payload."""
-    if isinstance(image, Image):
-        magic, payload = b"P6", image.pixels.tobytes()
-    elif isinstance(image, GrayImage):
-        magic, payload = b"P5", image.values.tobytes()
-    else:
+    if not isinstance(image, _Raster):
         raise TypeError(f"cannot encode {type(image).__name__}")
-    header = b"%s %d %d 255\n" % (magic, image.width, image.height)
-    return header + payload
+    magic = b"P6" if isinstance(image, Image) else b"P5"
+    return b"%s %d %d 255\n" % (magic, image.width, image.height) + image.pixels.tobytes()

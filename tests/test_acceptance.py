@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lesionprep.dataset import ManifestEntry, SplitConfig, scan_dataset, split_train_val
-from lesionprep.evaluation import confusion, f1, metrics_report, paper_rounding, parse_prediction_log
+from lesionprep.evaluation import f1, metrics_report, paper_rounding, parse_prediction_log
 from lesionprep.preprocess import (
     ORIENTATIONS,
     clean_mask,
@@ -21,13 +21,13 @@ from lesionprep.preprocess import (
     smooth_inpainted,
     unsharp_mask,
 )
-from lesionprep.probe import LinearProbeModel, TrainConfig, format_curve, train_probe
+from lesionprep.probe import TrainConfig, format_curve, train_probe
 from lesionprep.quality import quality_row
 from lesionprep.raster import GrayImage
 
 from synthetic import generate_sample
 from test_preprocess import closing_oracle, morph_close_line
-from test_probe import gradient_check
+from test_probe import gradient_check, random_model
 
 CORPUS_SIZE = 100
 
@@ -70,7 +70,7 @@ def _load(name):
 def test_criterion_2_table2_accuracy_reproduction():
     processed = metrics_report(_load("table2_processed.csv"))
     original = metrics_report(_load("table2_original.csv"))
-    assert confusion(_load("table2_processed.csv")).tp == 10
+    assert processed.tp == 10
     assert processed.accuracy == pytest.approx(100 * 18 / 21)
     assert original.accuracy == pytest.approx(100 * 17 / 21)
     assert paper_rounding(processed)["accuracy"] == 86
@@ -93,11 +93,11 @@ def test_criterion_4_morphology_axioms():
         img = GrayImage(rng.integers(0, 256, size=(32, 32), dtype=np.uint8))
         for orientation in ORIENTATIONS:
             closed = morph_close_line(img, 11, orientation)
-            assert (closed.values >= img.values).all()
+            assert (closed.pixels >= img.pixels).all()
             assert morph_close_line(closed, 11, orientation) == closed
             if i < 5:  # brute-force min/max oracle on a subsample
                 assert np.array_equal(
-                    closed.values, closing_oracle(img.values, 11, orientation)
+                    closed.pixels, closing_oracle(img.pixels, 11, orientation)
                 )
     elapsed = time.time() - start
     assert elapsed < 10
@@ -154,7 +154,7 @@ def test_criterion_7_gradient_check():
         # realistic scales: features live in [0, 1] and trained weights stay
         # moderate, so logits never saturate into the 1e-12 log clamp where
         # the loss is deliberately flat
-        model = LinearProbeModel(rng.normal(0, 0.5, size=(2, 55)), rng.normal(0, 0.5, size=2))
+        model = random_model(rng, 55, scale=0.5)
         X = rng.uniform(0, 1, size=(rng.integers(1, 12), 55))
         y = rng.integers(0, 2, size=len(X))
         worst = max(worst, gradient_check(model, X, y))
@@ -178,7 +178,7 @@ def test_criterion_8_probe_training_sanity():
     model_a, curve_a = train_probe(X, y, X, y, cfg)
     model_b, curve_b = train_probe(X, y, X, y, cfg)
     assert curve_a[-1].train_accuracy == 1.0
-    assert np.array_equal(model_a.weights, model_b.weights)
+    assert np.array_equal(model_a.theta, model_b.theta)
     assert format_curve(curve_a) == format_curve(curve_b)
     elapsed = time.time() - start
     assert elapsed < 10

@@ -363,6 +363,30 @@ class TestOutputCollisions:
                      tmp_path / "data", "--pre-root", tmp_path / "pre", "--out", report)
         assert not report.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("output", ["a.pre.ppm", "a.mask.pgm"])
+    def test_preprocess_never_writes_over_an_input(self, tmp_path, capsys, monkeypatch, output, jobs):
+        # with --out-root equal to --images-root, refining a.ppm would write
+        # over the entry listed as its output name, then refine that
+        data = tmp_path / "data"
+        write_image(data / "train" / "benign" / "a.ppm", seed=1, bright=True)
+        write_image(data / "train" / "benign" / output, seed=2, bright=False)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,label,split\ntrain/benign/a.ppm,benign,train\n"
+                            f"train/benign/{output},benign,train\n")
+        before = {f: f.read_bytes() for f in data.rglob("*") if f.is_file()}
+
+        def read(path):
+            raise AssertionError(f"read {path} before refusing the manifest")
+
+        monkeypatch.setattr(cli, "_load_image", read)
+        assert run("preprocess", "--manifest", manifest, "--images-root", data, "--out-root", data,
+                   "--jobs", jobs) == 2
+        assert error_message(capsys.readouterr().err) == (
+            f"{manifest}: output {data / 'train' / 'benign' / output} of 'train/benign/a.ppm' "
+            f"would overwrite the input 'train/benign/{output}'")
+        assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
+
     def test_distinct_stems_beside_each_other_are_kept(self, dataset_root, tmp_path):
         # a.ppm and a.b.ppm have the stems a and a.b
         write_image(dataset_root / "train" / "benign" / "b0.x.ppm", seed=7, bright=True)

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from lesionprep.evaluation import (
     LOG_HEADER,
     ConfusionMatrix,
-    MetricsReport,
-    PredictionLogError,
     PredictionRecord,
-    confusion,
     f1,
     metrics_report,
     paper_rounding,
@@ -56,33 +53,33 @@ class TestParse:
             "2,benign,0.9,benign\n"
             "1,malignant,0.8,malignant\n"
         )
-        with pytest.raises(PredictionLogError, match="lines 2 and 4"):
+        with pytest.raises(ValueError, match="lines 2 and 4"):
             parse_prediction_log(text)
 
     def test_unknown_label(self):
-        with pytest.raises(PredictionLogError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_prediction_log("case_id,predicted,confidence,truth\n1,maligant,0.9,benign\n")
 
     def test_confidence_out_of_range(self):
-        with pytest.raises(PredictionLogError, match="out of"):
+        with pytest.raises(ValueError, match="out of"):
             parse_prediction_log("case_id,predicted,confidence,truth\n1,benign,1.2,benign\n")
 
     def test_bad_header(self):
-        with pytest.raises(PredictionLogError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             parse_prediction_log("id,pred,conf,gt\n")
 
     def test_bare_cr_in_a_field_names_the_line(self):
-        with pytest.raises(PredictionLogError, match="line 2: new-line character"):
+        with pytest.raises(ValueError, match="line 2: new-line character"):
             parse_prediction_log(BARE_CR_LOG)
 
     def test_error_after_a_multiline_record_names_its_physical_line(self):
         # the quoted case_id of the first record spans lines 2 and 3
         text = 'case_id,predicted,confidence,truth\n"a\nb",benign,0.9,benign\nc,what,0.9,benign\n'
-        with pytest.raises(PredictionLogError, match="line 4: unknown label 'what'"):
+        with pytest.raises(ValueError, match="line 4: unknown label 'what'"):
             parse_prediction_log(text)
 
     def test_non_utf8_bytes(self):
-        with pytest.raises(PredictionLogError, match="not UTF-8"):
+        with pytest.raises(ValueError, match="not UTF-8"):
             parse_prediction_log(b"case_id,predicted,confidence,truth\n1,benign,0.9,\xffbenign\n")
 
     def test_leading_bom_is_accepted(self):
@@ -97,29 +94,29 @@ class TestParse:
     def test_arbitrary_input_raises_only_log_error(self, data):
         try:
             parse_prediction_log(data)
-        except PredictionLogError:
-            pass
+        except ValueError as exc:
+            assert type(exc) is ValueError
 
 
 class TestConfusion:
     def test_processed_column_counts(self, data_dir):
-        cm = confusion(load_log(data_dir, "table2_processed.csv"))
+        cm = metrics_report(load_log(data_dir, "table2_processed.csv"))
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (10, 2, 1, 8)
 
     def test_original_column_counts(self, data_dir):
-        cm = confusion(load_log(data_dir, "table2_original.csv"))
+        cm = metrics_report(load_log(data_dir, "table2_original.csv"))
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (10, 3, 1, 7)
 
     def test_all_correct(self):
         recs = [record(i, "malignant", "malignant") for i in range(3)] + [
             record(i + 10, "benign", "benign") for i in range(4)
         ]
-        cm = confusion(recs)
+        cm = metrics_report(recs)
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (3, 0, 0, 4)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            confusion([])
+            metrics_report([])
 
     @pytest.mark.parametrize("counts", [("3", 1, 1, 1), (1, -3, 1, 1), (1, 1, 1.0, 1),
                                         (1, 1, 1, True)])
@@ -130,43 +127,39 @@ class TestConfusion:
     def test_permutation_invariance(self, data_dir):
         recs = load_log(data_dir, "table2_processed.csv")
         for perm in itertools.islice(itertools.permutations(recs), 0, 50, 7):
-            assert confusion(list(perm)) == confusion(recs)
-
-
-def report(tp, fp, fn, tn):
-    return MetricsReport(ConfusionMatrix(tp, fp, fn, tn))
+            assert metrics_report(list(perm)) == metrics_report(recs)
 
 
 class TestScalarMetrics:
-    """The MetricsReport properties, the one implementation of each metric."""
+    """The ConfusionMatrix properties, the one implementation of each metric."""
 
     def test_accuracy_processed(self):
-        assert report(10, 2, 1, 8).accuracy == pytest.approx(100 * 18 / 21)
+        assert ConfusionMatrix(10, 2, 1, 8).accuracy == pytest.approx(100 * 18 / 21)
 
     def test_accuracy_original(self):
-        assert report(10, 3, 1, 7).accuracy == pytest.approx(100 * 17 / 21)
+        assert ConfusionMatrix(10, 3, 1, 7).accuracy == pytest.approx(100 * 17 / 21)
 
     def test_accuracy_of_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            report(0, 0, 0, 0).accuracy
+            ConfusionMatrix(0, 0, 0, 0).accuracy
 
     def test_sensitivity(self):
-        assert report(10, 2, 1, 8).sensitivity == pytest.approx(100 * 10 / 11)
-        assert report(5, 1, 0, 3).sensitivity == 100.0
-        assert report(0, 2, 0, 8).sensitivity is None
+        assert ConfusionMatrix(10, 2, 1, 8).sensitivity == pytest.approx(100 * 10 / 11)
+        assert ConfusionMatrix(5, 1, 0, 3).sensitivity == 100.0
+        assert ConfusionMatrix(0, 2, 0, 8).sensitivity is None
 
     def test_specificity(self):
-        assert report(10, 2, 1, 8).specificity == pytest.approx(80.0)
-        assert report(4, 0, 1, 5).specificity == 100.0
-        assert report(4, 0, 1, 0).specificity is None
+        assert ConfusionMatrix(10, 2, 1, 8).specificity == pytest.approx(80.0)
+        assert ConfusionMatrix(4, 0, 1, 5).specificity == 100.0
+        assert ConfusionMatrix(4, 0, 1, 0).specificity is None
 
     def test_precision(self):
-        assert report(10, 2, 1, 8).precision == pytest.approx(100 * 10 / 12)
-        assert report(4, 0, 1, 5).precision == 100.0
-        assert report(0, 0, 1, 5).precision is None
+        assert ConfusionMatrix(10, 2, 1, 8).precision == pytest.approx(100 * 10 / 12)
+        assert ConfusionMatrix(4, 0, 1, 5).precision == 100.0
+        assert ConfusionMatrix(0, 0, 1, 5).precision is None
 
     def test_metrics_are_exact_fractions(self):
-        rep = report(10, 2, 1, 8)
+        rep = ConfusionMatrix(10, 2, 1, 8)
         assert rep.accuracy == Fraction(1800, 21)
         assert rep.sensitivity == Fraction(1000, 11)
         assert rep.specificity == 80
@@ -226,7 +219,7 @@ class TestMetricsReport:
         ((1, 80, 119, 5), 0, "1.00%"),  # 200/201 %; re-rounding 1.00 gave 1
     ])
     def test_f1_cell_is_exact(self, counts, f1_cell, f1_text):
-        rep = MetricsReport(ConfusionMatrix(*counts))
+        rep = ConfusionMatrix(*counts)
         assert rep.f1 == Fraction(200 * counts[0], 2 * counts[0] + counts[1] + counts[2])
         assert paper_rounding(rep)["f1"] == f1_cell
         assert f"f1           {f1_text}" in render_report_text(rep)
@@ -234,7 +227,7 @@ class TestMetricsReport:
 
     def test_two_decimals_round_half_to_even(self):
         # accuracy 2469/200 % = 12.345 exactly: a single rounding gives 12.34
-        rep = MetricsReport(ConfusionMatrix(2469, 20000 - 2469, 0, 0))
+        rep = ConfusionMatrix(2469, 20000 - 2469, 0, 0)
         assert report_to_dict(rep)["metrics"]["accuracy"] == 12.34
         assert "accuracy     12.34%" in render_report_text(rep)
 
@@ -270,9 +263,8 @@ class TestAlgebraicProperties:
     def test_accuracy_decomposition(self, rng):
         for _ in range(50):
             tp, fp, fn, tn = rng.integers(1, 20, size=4)
-            rep = report(int(tp), int(fp), int(fn), int(tn))
-            cm = rep.confusion
+            cm = ConfusionMatrix(int(tp), int(fp), int(fn), int(tn))
             expected = (
-                rep.sensitivity * (cm.tp + cm.fn) + rep.specificity * (cm.tn + cm.fp)
+                cm.sensitivity * (cm.tp + cm.fn) + cm.specificity * (cm.tn + cm.fp)
             ) / cm.total
-            assert rep.accuracy == pytest.approx(expected)
+            assert cm.accuracy == pytest.approx(expected)

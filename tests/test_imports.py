@@ -9,8 +9,13 @@ train-probe draws its batches from the package's one generator,
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early.
+
+No module of the package reads a private attribute (``x._name``, dunders
+excepted) of anything but ``self`` or ``cls``: what one module needs of
+another is public.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -104,3 +109,25 @@ def test_preprocess_imports_no_scipy(inputs, tmp_path, jobs):
     argv = commands(inputs, tmp_path)["preprocess"] + ["--jobs", jobs]
     # the process pool's concurrent.futures imports logging itself
     assert run_fresh(tmp_path, *argv) == (0, ["numpy"] + ["logging"] * (jobs > 1))
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of each ``x._name`` in ``source``, dunders excepted,
+    whose ``x`` is not ``self`` or ``cls``."""
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    found = {path.name: private_reads(path.read_text()) for path in sorted((SRC / "lesionprep").glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_private_read_guard_sees_every_foreign_object():
+    source = ("def f(self, cls, other):\n"
+              "    return self._a, cls._b, other._c, other.__dict__, other.__d, mod.x._e, g()._f\n")
+    assert private_reads(source) == [(2, "__d"), (2, "_c"), (2, "_e"), (2, "_f")]

@@ -42,7 +42,7 @@ def morph_close_line(image: GrayImage, length: int, orientation: int) -> GrayIma
     """Grayscale closing (dilate then erode) with a line SE at the given
     orientation, as detection runs it on each plane; the SE is clipped to
     the image at borders."""
-    return GrayImage(_close(image.values, length, orientation))
+    return GrayImage(_close(image.pixels, length, orientation))
 
 
 def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -476,7 +476,7 @@ class TestMorphClose:
             img = GrayImage(rng.integers(0, 256, size=(16, 16), dtype=np.uint8))
             for orientation in ORIENTATIONS:
                 closed = morph_close_line(img, 5, orientation)
-                assert (closed.values >= img.values).all()
+                assert (closed.pixels >= img.pixels).all()
                 assert morph_close_line(closed, 5, orientation) == closed
 
     def test_matches_brute_force_oracle(self, rng):
@@ -487,8 +487,8 @@ class TestMorphClose:
         for shape, length in cases:
             img = GrayImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
             for orientation in ORIENTATIONS:
-                got = morph_close_line(img, length, orientation).values
-                want = closing_oracle(img.values, length, orientation)
+                got = morph_close_line(img, length, orientation).pixels
+                want = closing_oracle(img.pixels, length, orientation)
                 assert np.array_equal(got, want), (shape, length, orientation)
 
     @pytest.mark.parametrize("length", range(3, 22, 2))
@@ -497,7 +497,7 @@ class TestMorphClose:
         for shape in [(1, 1), (1, 14), (14, 1), (5, 8), (12, 12), (40, 33)]:
             values = rng.integers(0, 256, size=shape, dtype=np.uint8)
             for orientation in ORIENTATIONS:
-                got = morph_close_line(GrayImage(values), length, orientation).values
+                got = morph_close_line(GrayImage(values), length, orientation).pixels
                 assert np.array_equal(got, closing_ndimage_oracle(values, length, orientation))
                 if values.size <= 144:
                     assert np.array_equal(got, closing_oracle(values, length, orientation))
@@ -514,7 +514,7 @@ class TestMorphClose:
         arr = np.full((32, 32), 200, np.uint8)
         arr[16, :] = 30
         closed = morph_close_line(GrayImage(arr), 11, 90)  # vertical SE
-        assert (closed.values[16, :] == 200).all()
+        assert (closed.pixels[16, :] == 200).all()
 
     def test_rejects_even_length(self):
         with pytest.raises(ValueError):

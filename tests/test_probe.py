@@ -28,7 +28,23 @@ from test_preprocess import golden_image, traced_peak
 
 
 def zero_model(dim: int) -> LinearProbeModel:
-    return LinearProbeModel(np.zeros((2, dim)), np.zeros(2))
+    return LinearProbeModel(np.zeros(dim + 1))
+
+
+def random_model(rng, dim: int, scale: float = 1.0) -> LinearProbeModel:
+    """theta = w1 - w0 for softmax rows w drawn from N(0, scale^2): each
+    entry is N(0, 2 scale^2)."""
+    return LinearProbeModel(rng.normal(0, math.sqrt(2) * scale, size=dim + 1))
+
+
+def saved_softmax(model: LinearProbeModel) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The tokens of ``format_model``'s text, and its (2, d) weight rows and
+    its bias row read back with ``float``."""
+    text = format_model(model)
+    lines = text.splitlines()
+    assert len(lines) == 4
+    weights = np.array([[float(v) for v in ln.split()] for ln in lines[1:3]])
+    return text.split(), weights, np.array([float(v) for v in lines[3].split()])
 
 
 def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
@@ -41,11 +57,6 @@ def rows_of(features) -> np.ndarray:
     ends in a 1, the input of the bias."""
     X = np.asarray(features, dtype=np.float64)
     return np.concatenate([X, np.ones((len(X), 1))], axis=1)
-
-
-def theta_of(model: LinearProbeModel) -> np.ndarray:
-    """The logistic unit (w1 - w0, b1 - b0) that a 2-class softmax model equals."""
-    return np.append(model.weights[1] - model.weights[0], model.bias[1] - model.bias[0])
 
 
 def gradient_check(
@@ -62,7 +73,7 @@ def gradient_check(
     y = np.asarray(labels, dtype=np.int64)
     if len(rows) == 0:
         raise ValueError("batch must be nonempty")
-    theta = theta_of(model)
+    theta = model.theta
     analytic = batch_gradient(theta, rows, y)
 
     def loss_at(vec: np.ndarray) -> float:
@@ -296,14 +307,14 @@ def train_probe_oracle(train_features, train_labels, val_features, val_labels, c
         if it % config.eval_interval == 0 or it == config.iterations:
             (ta, tx), (va, vx) = scores(X, y), scores(Xv, yv)
             curve.append(CurvePoint(it, ta, va, tx, vx))
-    half = [t / 2 for t in theta]
-    return LinearProbeModel([[0.0 - h for h in half[:-1]], half[:-1]], [0.0 - half[-1], half[-1]]), curve
+    return LinearProbeModel(theta), curve
 
 
 def softmax_oracle(train_features, train_labels, val_features, val_labels, config):
     """The zero-init two-class softmax layer that the logistic unit stands
     for, trained on the same batches with numpy's keepdims softmax and both
-    rows' gradients, as train_probe ran before it became one unit."""
+    rows' gradients, as train_probe ran before it became one unit. Returns
+    the (2, d) weights, the two biases and the curve."""
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
     Xv = np.asarray(val_features, dtype=np.float64).reshape(-1, X.shape[1])
@@ -332,7 +343,7 @@ def softmax_oracle(train_features, train_labels, val_features, val_labels, confi
         if it % config.eval_interval == 0 or it == config.iterations:
             (ta, tx), (va, vx) = scores(X, y), scores(Xv, yv)
             curve.append(CurvePoint(it, ta, va, tx, vx))
-    return LinearProbeModel(weights, bias), curve
+    return weights, bias, curve
 
 
 def assert_trains_like_oracle(data, config):
@@ -465,27 +476,26 @@ class TestSoftmax:
         assert p.tolist() == [0.5, 0.5]
 
     def test_log3_logits(self):
-        model = LinearProbeModel(np.zeros((2, 1)), np.array([math.log(3), 0.0]))
+        model = LinearProbeModel(np.array([0.0, -math.log(3)]))
         p = softmax_predict(model, np.zeros(1))
         assert p == pytest.approx([0.75, 0.25])
 
-    def test_shift_invariance(self, rng):
-        w = rng.normal(size=(2, 4))
-        x = rng.normal(size=4)
-        p1 = softmax_predict(LinearProbeModel(w, np.array([0.0, 0.0])), x)
-        p2 = softmax_predict(LinearProbeModel(w, np.array([100.0, 100.0])), x)
-        assert p1 == pytest.approx(p2)
-
     def test_sums_to_one(self, rng):
         for _ in range(20):
-            model = LinearProbeModel(rng.normal(size=(2, 5)), rng.normal(size=2))
+            model = random_model(rng, 5)
             p = softmax_predict(model, rng.normal(size=5))
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (p >= 0).all()
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            LinearProbeModel(np.full((2, 2), np.nan), np.zeros(2))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LinearProbeModel(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 3), ()])
+    def test_theta_is_one_nonempty_row(self, shape):
+        with pytest.raises(ValueError, match="theta must be d \\+ 1 floats"):
+            LinearProbeModel(np.zeros(shape))
 
 
 class TestCrossEntropy:
@@ -505,7 +515,7 @@ class TestCrossEntropy:
 class TestGradientCheck:
     def test_random_instances(self, rng):
         for _ in range(10):
-            model = LinearProbeModel(rng.normal(size=(2, 6)), rng.normal(size=2))
+            model = random_model(rng, 6)
             X = rng.normal(size=(8, 6))
             y = rng.integers(0, 2, size=8)
             assert gradient_check(model, X, y) < 1e-5
@@ -515,7 +525,7 @@ class TestGradientCheck:
         X = np.tile(np.array([[0.3, 0.7]]), (2, 1))
         y = np.array([0, 1])
         model = zero_model(2)
-        assert batch_gradient(theta_of(model), rows_of(X), y).tolist() == [0.0, 0.0, 0.0]
+        assert batch_gradient(model.theta, rows_of(X), y).tolist() == [0.0, 0.0, 0.0]
         assert gradient_check(model, X, y) < 1e-5
 
     def test_duplicating_batch_keeps_mean_gradient(self, rng):
@@ -556,8 +566,7 @@ class TestTraining:
         cfg = TrainConfig(seed=5, iterations=200, eval_interval=50)
         m1, c1 = train_probe(X, y, X, y, cfg)
         m2, c2 = train_probe(X, y, X, y, cfg)
-        assert np.array_equal(m1.weights, m2.weights)
-        assert np.array_equal(m1.bias, m2.bias)
+        assert np.array_equal(m1.theta, m2.theta)
         assert format_curve(c1) == format_curve(c2)
 
     def test_full_batch_loss_non_increasing_on_convex_toy(self, rng):
@@ -603,10 +612,11 @@ class TestTraining:
         data = random_training_set(seed, n, 55, 6)
         config = TrainConfig(seed=seed, batch_size=batch, iterations=1000, eval_interval=50)
         model, curve = train_probe(*data, config)
-        want, want_curve = softmax_oracle(*data, config)
-        scale = np.abs(want.weights).max()
-        assert np.abs(model.weights - want.weights).max() <= 1e-12 * scale
-        assert np.abs(model.bias - want.bias).max() <= 1e-12 * scale
+        want_weights, want_bias, want_curve = softmax_oracle(*data, config)
+        _, weights, bias = saved_softmax(model)  # the rows (-theta/2, theta/2)
+        scale = np.abs(want_weights).max()
+        assert np.abs(weights - want_weights).max() <= 1e-12 * scale
+        assert np.abs(bias - want_bias).max() <= 1e-12 * scale
         for got, ref in zip(curve, want_curve):
             assert (got.iteration, got.train_accuracy, got.val_accuracy) == \
                 (ref.iteration, ref.train_accuracy, ref.val_accuracy)
@@ -674,34 +684,42 @@ class TestTrainingInputChecks:
 
 
 class TestPersistence:
-    def test_model_text_layout(self, rng):
-        # dims line, one line per weight row, bias line; 17 significant
-        # digits keep every value exact
-        model = LinearProbeModel(rng.normal(size=(2, 7)), rng.normal(size=2))
-        lines = format_model(model).splitlines()
-        assert lines[0] == "2 7"
-        rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
-        assert np.array_equal(np.array(rows[:2]), model.weights)
-        assert np.array_equal(np.array(rows[2]), model.bias)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: x == 0 or abs(x) >= 2.0**-1021), min_size=2, max_size=60))
+    @example([0.5, -0.0, 0.0, 1e308, -1.7976931348623157e308, 2.0**-1021, -3.0])
+    def test_saved_softmax_is_exactly_theta(self, theta):
+        # a dims line ``2 d``, two weight rows and a bias row whose 17
+        # significant digits read back exactly: rows that are exact
+        # negatives, no -0 token, and (w1 - w0, b1 - b0) equal to theta bit
+        # for bit, with a -0.0 of theta held as 0.0; halving is exact for
+        # every value that is 0 or of magnitude at least 2^-1021
+        model = LinearProbeModel(np.array(theta))
+        tokens, weights, bias = saved_softmax(model)
+        assert tokens[:2] == ["2", str(len(theta) - 1)] and len(tokens) == 2 + 2 * len(theta)
+        assert np.array_equal(weights[0], 0.0 - weights[1]) and bias[0] == 0.0 - bias[1]
+        assert "-0" not in tokens
+        back = np.append(weights[1] - weights[0], bias[1] - bias[0])
+        assert back.tobytes() == model.theta.tobytes() == (np.array(theta) + 0.0).tobytes()
 
     def test_curve_header(self):
         text = format_curve([CurvePoint(1, 0.5, 0.5, 0.7, 0.7)])
         assert text.splitlines()[0] == "iter,train_acc,val_acc,train_xent,val_xent"
 
     def test_loss_helper_matches_pointwise(self, rng):
-        model = LinearProbeModel(rng.normal(size=(2, 3)), rng.normal(size=2))
+        model = random_model(rng, 3)
         X = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
         expected = np.mean(
             [cross_entropy(softmax_predict(model, x), label) for x, label in zip(X, y)]
         )
-        assert batch_scores(theta_of(model), rows_of(X), y)[1] == pytest.approx(expected, rel=1e-12)
+        assert batch_scores(model.theta, rows_of(X), y)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_saved_rows_are_opposite_halves(self, rng):
         # a feature that is 0 in every row keeps a zero weight, saved as 0, not -0
         X = np.column_stack([rng.uniform(0, 1, (10, 3)), np.zeros(10)])
         model, _ = train_probe(X, rng.integers(0, 2, 10), X[:0], np.zeros(0, int),
                                TrainConfig(seed=1, iterations=50))
-        assert np.array_equal(model.weights[0], 0.0 - model.weights[1])
-        assert model.bias[0] == -model.bias[1] != 0
-        assert model.weights[1, 3] == 0 and "-0" not in format_model(model).split()
+        tokens, weights, bias = saved_softmax(model)
+        assert np.array_equal(weights[0], 0.0 - weights[1])
+        assert bias[0] == -bias[1] != 0
+        assert model.theta[3] == weights[1, 3] == 0 and "-0" not in tokens

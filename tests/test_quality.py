@@ -58,7 +58,7 @@ def quality_oracle(image_id, reference, test) -> QualityRow:
     """The four metrics from Python ints, one sample at a time: MSE and L2RAT
     as Fractions, PSNR by ``psnr_of`` at 80 digits."""
     def samples(image):
-        arr = image.pixels if isinstance(image, Image) else image.values
+        arr = image.pixels
         return arr.ravel().tolist()
 
     ref, t = samples(reference), samples(test)

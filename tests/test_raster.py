@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,18 +33,18 @@ class TestDecode:
         img = decode_netpbm(b"P5 2 1 255\n\x00\xff")
         assert isinstance(img, GrayImage)
         assert (img.width, img.height) == (2, 1)
-        assert img.values.tolist() == [[0, 255]]
+        assert img.pixels.tolist() == [[0, 255]]
 
     def test_tolerates_extra_header_whitespace(self):
         img = decode_netpbm(b"P5\n2 1\t255\n\x00\xff")
-        assert img.values.tolist() == [[0, 255]]
+        assert img.pixels.tolist() == [[0, 255]]
 
     @pytest.mark.parametrize("header", [
         b"P5\n# made by gimp\n2 1\n255\n",
         b"P5 2 # width, then height\r1\n#\n255\n",
     ])
     def test_skips_header_comments(self, header):
-        assert decode_netpbm(header + b"\x00\xff").values.tolist() == [[0, 255]]
+        assert decode_netpbm(header + b"\x00\xff").pixels.tolist() == [[0, 255]]
 
     def test_unterminated_comment_ends_header(self):
         with pytest.raises(NetpbmError, match="unexpected end of header"):
@@ -122,7 +124,7 @@ def test_image_and_gray_share_their_checks(cls, shape):
             cls(np.full(shape, value))
     source = np.arange(np.prod(shape)).reshape(shape) * 9
     image = cls(source)
-    array = image.pixels if cls is Image else image.values
+    array = image.pixels
     assert array.dtype == np.uint8 and np.array_equal(array, source)
     assert not array.flags.writeable and not np.shares_memory(array, source)
     assert (image.width, image.height) == (3, 2)
@@ -138,7 +140,7 @@ class TestDecodeBuffers:
                                        GrayImage(np.arange(6, dtype=np.uint8).reshape(2, 3))])
     def test_decoded_bytes_are_viewed_read_only(self, image):
         data = encode_netpbm(image)
-        array = decode_netpbm(data)._array
+        array = decode_netpbm(data).pixels
         assert not array.flags.writeable
         assert np.shares_memory(array, np.frombuffer(data, np.uint8))
         assert decode_netpbm(data) == image == decode_netpbm(memoryview(data))
@@ -159,6 +161,9 @@ class TestDecodeBuffers:
 
 
 def test_pixels_are_immutable():
-    img = Image(np.zeros((2, 2, 3), np.uint8))
-    with pytest.raises(ValueError):
-        img.pixels[0, 0, 0] = 1
+    for img in (Image(np.zeros((2, 2, 3), np.uint8)), GrayImage(np.zeros((2, 2), np.uint8))):
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 1
+        for name in ("pixels", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(img, name, img.pixels)

@@ -5,7 +5,7 @@ Submodules:
   preprocess  - unsharp sharpening + DullRazor-style hair removal
   quality     - PSNR / MSE / MAXERR / L2RAT reports
   dataset     - scanning, stratified splitting, manifests
-  probe       - fixed-feature softmax probe training
+  probe       - fixed features and one logistic unit, held as theta
   evaluation  - prediction-log parsing and classification metrics
   cli         - the `lesionprep` command
 """

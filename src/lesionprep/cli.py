@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -59,18 +60,6 @@ def _write_text(path, text: str) -> None:
         _write_atomic(Path(path), text.encode("utf-8"))
 
 
-def _read_entries(manifest):
-    """The manifest's entries. Each path is joined to a root, so one that is
-    absolute or empty or has a ``..`` segment is a ValueError naming it, raised
-    before any image is read or written."""
-    entries = _read(manifest, dataset.read_manifest)
-    for e in entries:
-        rel = PurePath(e.path)
-        if not e.path or rel.is_absolute() or ".." in rel.parts:
-            raise ValueError(f"{manifest}: path {e.path!r} must be relative to the root, without '..'")
-    return entries
-
-
 def _load_image(path: Path):
     from .raster import Image, decode_netpbm
 
@@ -87,17 +76,37 @@ def _config(cls, args):
     return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _out_paths(manifest, entries, out_root: Path) -> list[tuple[Path, Path]]:
-    """Each entry's ``<stem>.pre.ppm`` and ``<stem>.mask.pgm`` under ``out_root``;
-    two entries with the same outputs (``a.ppm``, ``a.pnm``) are a ValueError."""
-    paths, owners = [], {}
-    for e in entries:
-        rel = Path(e.path)
-        pre = out_root / rel.parent / f"{rel.stem}.pre.ppm"
+def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
+    """The manifest's entries, each as ``(entry, src)`` with ``src`` under
+    ``images_root``, or, given ``out_root``, as ``(entry, src, pre, mask)``
+    with its ``<stem>.pre.ppm`` and ``<stem>.mask.pgm`` under ``out_root``.
+    Raised before any image is read or written, a ValueError naming the
+    manifest refuses a path that is absolute or empty or has a ``..`` segment,
+    two entries with the same outputs (``a.ppm``, ``a.pnm``), and an output
+    that, with symlinks resolved, is some entry's input."""
+    files = []
+    for e in _read(manifest, dataset.read_manifest):
+        rel = PurePath(e.path)
+        if not e.path or rel.is_absolute() or ".." in rel.parts:
+            raise ValueError(f"{manifest}: path {e.path!r} must be relative to the root, without '..'")
+        files.append((e, Path(images_root) / e.path))
+    if out_root is None:
+        return files
+    # os.replace replaces a name in its directory, so only the directories' links count
+    real_dir = functools.cache(os.path.realpath)
+    inputs = {(real_dir(src.parent), src.name): e.path for e, src in files}
+    owners = {}
+    for i, (e, src) in enumerate(files):
+        rel = PurePath(e.path)
+        pre = Path(out_root) / rel.parent / f"{rel.stem}.pre.ppm"
         if owners.setdefault(pre, e.path) != e.path:
             raise ValueError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
-        paths.append((pre, pre.with_name(f"{rel.stem}.mask.pgm")))
-    return paths
+        mask = pre.with_name(f"{rel.stem}.mask.pgm")
+        for out in (pre, mask):
+            if (other := inputs.get((real_dir(out.parent), out.name))) is not None:
+                raise ValueError(f"{manifest}: output {out} of {e.path!r} would overwrite the input {other!r}")
+        files[i] = (e, src, pre, mask)
+    return files
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -107,9 +116,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:  # names the output, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
 
 
 def _preprocess_one(task):
@@ -136,20 +146,13 @@ def cmd_preprocess(args) -> int:
 
     config = _config(PreprocessConfig, args)
     print(f"INFO preprocess config: {config}", file=sys.stderr)
-    entries = _read_entries(args.manifest)
-    images_root = Path(args.images_root)
+    files = _entry_files(args.manifest, args.images_root, args.out_root)
     out_root = Path(args.out_root)
-    outputs = _out_paths(args.manifest, entries, out_root)
-    inputs = {os.path.abspath(images_root / e.path): e.path for e in entries}
-    for e, out in ((e, out) for e, pair in zip(entries, outputs) for out in pair):
-        if (src := inputs.get(os.path.abspath(out))) is not None:
-            raise ValueError(f"{args.manifest}: output {out} of {e.path!r} would overwrite the input {src!r}")
     out_root.mkdir(parents=True, exist_ok=True)
-    if not entries:
+    if not files:
         print("WARNING empty manifest: nothing to do", file=sys.stderr)
         return 0
-    tasks = [(e.path, str(images_root / e.path), str(pre_path), str(mask_path), config)
-             for e, (pre_path, mask_path) in zip(entries, outputs)]
+    tasks = [(e.path, str(src), str(pre), str(mask), config) for e, src, pre, mask in files]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -168,15 +171,13 @@ def cmd_preprocess(args) -> int:
 def cmd_quality(args) -> int:
     from . import quality
 
-    entries = _read_entries(args.manifest)
-    images_root = Path(args.images_root)
-    outputs = _out_paths(args.manifest, entries, Path(args.pre_root))
+    files = _entry_files(args.manifest, args.images_root, args.pre_root)
 
     def pairs():  # one pair decoded at a time
-        for e, (pre_path, _) in zip(entries, outputs):
-            if not pre_path.exists():
-                raise ValueError(f"missing preprocessed counterpart {pre_path}")
-            yield e.path, _read(images_root / e.path, _load_image), _read(pre_path, _load_image)
+        for e, src, pre, _ in files:
+            if not pre.exists():
+                raise ValueError(f"missing preprocessed counterpart {pre}")
+            yield e.path, _read(src, _load_image), _read(pre, _load_image)
 
     _write_text(args.out, quality.format_quality_report(quality.quality_report(pairs())))
     return 0
@@ -195,15 +196,13 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _features_for(entries, images_root: Path):
+def _features_for(files):
     import numpy as np
 
     from . import probe
 
-    X, y = [], []
-    for e in entries:
-        X.append(probe.extract_features(_read(images_root / e.path, _load_image)))
-        y.append(dataset.LABELS.index(e.label))
+    X = [probe.extract_features(_read(src, _load_image)) for _, src in files]
+    y = [dataset.LABELS.index(e.label) for e, _ in files]
     return np.array(X), np.array(y, dtype=np.int64)
 
 
@@ -240,13 +239,12 @@ def cmd_train_probe(args) -> int:
 
     config = _config(probe.TrainConfig, args)
     print(f"INFO train config: {config}", file=sys.stderr)
-    entries = _read_entries(args.manifest)
-    train = [e for e in entries if e.split == "train"]
+    files = _entry_files(args.manifest, args.images_root)
+    train = [(e, src) for e, src in files if e.split == "train"]
     if not train:
         raise ValueError("manifest has no train entries")
-    images_root = Path(args.images_root)
-    X_train, y_train = _features_for(train, images_root)
-    X_val, y_val = _features_for([e for e in entries if e.split == "val"], images_root)
+    X_train, y_train = _features_for(train)
+    X_val, y_val = _features_for([(e, src) for e, src in files if e.split == "val"])
     model, curve = probe.train_probe(X_train, y_train, X_val, y_val, config)
     _write_text(args.model_out, probe.format_model(model))
     _write_text(args.curve_out, probe.format_curve(curve))

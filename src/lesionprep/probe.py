@@ -54,8 +54,8 @@ _SOBEL_MAX = 1020.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class LinearProbeModel:
-    """The logistic unit theta = (v, c): d weights, then the bias. A zero is
-    held as +0.0, so that no saved token reads -0."""
+    """The logistic unit theta = (v, c): d weights, then the bias, as a
+    read-only array. A zero is held as +0.0, so that no saved token reads -0."""
 
     theta: np.ndarray  # (d + 1,)
 
@@ -65,6 +65,7 @@ class LinearProbeModel:
             raise ValueError(f"theta must be d + 1 floats, got shape {theta.shape}")
         if not np.isfinite(theta).all():
             raise ValueError("model parameters must be finite")
+        theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
 

@@ -387,6 +387,41 @@ class TestOutputCollisions:
             f"would overwrite the input 'train/benign/{output}'")
         assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
 
+    @pytest.fixture
+    def linked(self, tmp_path):
+        """``data`` holding a.ppm and a.pre.ppm, both listed in ``m.csv``, and
+        ``link``, a symlink to ``data``."""
+        data = tmp_path / "data"
+        write_image(data / "train" / "benign" / "a.ppm", seed=1, bright=True)
+        write_image(data / "train" / "benign" / "a.pre.ppm", seed=2, bright=False)
+        (tmp_path / "link").symlink_to(data, target_is_directory=True)
+        (tmp_path / "m.csv").write_text("path,label,split\ntrain/benign/a.ppm,benign,train\n"
+                                        "train/benign/a.pre.ppm,benign,train\n")
+        return {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+
+    def refused_overwrite(self, tmp_path, capsys, linked, out_root, *argv):
+        # one ERROR line naming both entries, and no file changed or added
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("ERROR") == 1
+        assert error_message(err) == (
+            f"{tmp_path / 'm.csv'}: output {out_root / 'train' / 'benign' / 'a.pre.ppm'} of "
+            f"'train/benign/a.ppm' would overwrite the input 'train/benign/a.pre.ppm'")
+        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == linked
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("images, out", [("data", "link"), ("link", "data")],
+                             ids=["out-root-links-to-images-root", "images-root-links-to-out-root"])
+    def test_preprocess_sees_through_symlinks(self, tmp_path, capsys, linked, images, out, jobs):
+        self.refused_overwrite(tmp_path, capsys, linked, tmp_path / out, "preprocess",
+                               "--manifest", tmp_path / "m.csv", "--images-root", tmp_path / images,
+                               "--out-root", tmp_path / out, "--jobs", jobs)
+
+    def test_quality_refuses_the_same_layout(self, tmp_path, capsys, linked):
+        self.refused_overwrite(tmp_path, capsys, linked, tmp_path / "link", "quality",
+                               "--manifest", tmp_path / "m.csv", "--images-root", tmp_path / "data",
+                               "--pre-root", tmp_path / "link", "--out", tmp_path / "q.csv")
+
     def test_distinct_stems_beside_each_other_are_kept(self, dataset_root, tmp_path):
         # a.ppm and a.b.ppm have the stems a and a.b
         write_image(dataset_root / "train" / "benign" / "b0.x.ppm", seed=7, bright=True)
@@ -687,6 +722,21 @@ def test_stderr_bytes_in_a_fresh_interpreter(dataset_root, tmp_path):
     failed = fresh(tmp_path, "-m", "lesionprep.cli", "report", "gone.json")
     assert (failed.returncode, failed.stderr) == (
         2, b"ERROR gone.json: [Errno 2] No such file or directory: 'gone.json'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--root", "data", "--seed", 3, "--out", "nodir/m.csv"],
+    ["eval", "--log", "log.csv", "--out", "nodir/r.json"],
+], ids=["split", "eval"])
+def test_failed_write_names_the_output(dataset_root, tmp_path, argv):
+    # nodir/ does not exist; the temp file beside the output holds the pid in
+    # its name, so an error naming it would differ from run to run
+    write_log(tmp_path / "log.csv", tp=5, fp=2, fn=1, tn=7)
+    first, second = (fresh(tmp_path, "-m", "lesionprep.cli", *argv) for _ in range(2))
+    assert (first.returncode, second.returncode) == (2, 2)
+    assert first.stderr == second.stderr
+    assert error_message(first.stderr.decode()) == f"[Errno 2] No such file or directory: '{argv[-1]}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "log.csv"]
 
 
 def test_main_leaves_the_root_logger_alone(tmp_path):

@@ -12,7 +12,8 @@ so an import that fails cannot pass by ending the command early.
 
 No module of the package reads a private attribute (``x._name``, dunders
 excepted) of anything but ``self`` or ``cls``: what one module needs of
-another is public.
+another is public. In the CLI, only ``_entry_files`` reads a manifest, so
+each entry's input and output paths are made in one place.
 """
 
 import ast
@@ -131,3 +132,32 @@ def test_private_read_guard_sees_every_foreign_object():
     source = ("def f(self, cls, other):\n"
               "    return self._a, cls._b, other._c, other.__dict__, other.__d, mod.x._e, g()._f\n")
     assert private_reads(source) == [(2, "__d"), (2, "_c"), (2, "_e"), (2, "_f")]
+
+
+def functions_referencing(source: str, name: str) -> list[str]:
+    """For each reference to the attribute or name ``name`` in ``source``, the
+    name of the innermost function around it, or "<module>"."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == name
+              or isinstance(node, ast.Name) and node.id == name):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_entry_files_reads_a_manifest():
+    source = (SRC / "lesionprep" / "cli.py").read_text()
+    assert functions_referencing(source, "read_manifest") == ["_entry_files"]
+
+
+def test_manifest_guard_sees_every_reference():
+    source = ("from x import read_manifest\nr = dataset.read_manifest\n"
+              "def f():\n    def g():\n        return read_manifest(m)\n    return mod.dataset.read_manifest\n")
+    assert functions_referencing(source, "read_manifest") == ["<module>", "g", "f"]

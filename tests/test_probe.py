@@ -497,6 +497,15 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="theta must be d \\+ 1 floats"):
             LinearProbeModel(np.zeros(shape))
 
+    def test_theta_is_read_only(self):
+        # the model copies what it is given, and its copy cannot change
+        given = np.array([1.0, 0.0, 2.0])
+        model = LinearProbeModel(given)
+        with pytest.raises(ValueError, match="read-only"):
+            model.theta[0] = 5.0
+        given[0] = 7.0
+        assert model.theta.tolist() == [1.0, 0.0, 2.0]
+
 
 class TestCrossEntropy:
     def test_certain_prediction(self):

@@ -92,9 +92,9 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
         files.append((e, Path(images_root) / e.path))
     if out_root is None:
         return files
-    # os.replace replaces a name in its directory, so only the directories' links count
+    # an input is read through every link; os.replace replaces an output's name, not its target
     real_dir = functools.cache(os.path.realpath)
-    inputs = {(real_dir(src.parent), src.name): e.path for e, src in files}
+    inputs = {os.path.realpath(src): e.path for e, src in files}
     owners = {}
     for i, (e, src) in enumerate(files):
         rel = PurePath(e.path)
@@ -103,7 +103,7 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
             raise ValueError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
         mask = pre.with_name(f"{rel.stem}.mask.pgm")
         for out in (pre, mask):
-            if (other := inputs.get((real_dir(out.parent), out.name))) is not None:
+            if (other := inputs.get(os.path.join(real_dir(out.parent), out.name))) is not None:
                 raise ValueError(f"{manifest}: output {out} of {e.path!r} would overwrite the input {other!r}")
         files[i] = (e, src, pre, mask)
     return files
@@ -153,10 +153,11 @@ def cmd_preprocess(args) -> int:
         print("WARNING empty manifest: nothing to do", file=sys.stderr)
         return 0
     tasks = [(e.path, str(src), str(pre), str(mask), config) for e, src, pre, mask in files]
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(tasks))  # a forked pool starts all its workers at once
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_preprocess_one, tasks))
     else:
         results = [_preprocess_one(t) for t in tasks]

@@ -25,8 +25,7 @@ from lesionprep.probe import TrainConfig, format_curve, train_probe
 from lesionprep.quality import quality_row
 from lesionprep.raster import GrayImage
 
-from synthetic import generate_sample
-from test_preprocess import closing_oracle, morph_close_line
+from test_preprocess import closing_oracle, hairy_scene, morph_close_line
 from test_probe import gradient_check, random_model
 
 CORPUS_SIZE = 100
@@ -108,14 +107,17 @@ def test_criterion_4_morphology_axioms():
 
 @pytest.fixture(scope="module")
 def corpus_results():
+    """The first CORPUS_SIZE images of the bench corpus at seed 1 with the
+    hairy workload's 5 strokes, each as (hairy, twin, footprint) with its
+    pipeline stages."""
     results = []
-    for seed in range(CORPUS_SIZE):
-        sample = generate_sample(seed)
-        sharpened = unsharp_mask(sample.hairy)
+    for index in range(CORPUS_SIZE):
+        scene = hairy_scene(1, index, 5)
+        sharpened = unsharp_mask(scene[0])
         mask = clean_mask(detect_hair_mask(sharpened))
         inpainted = inpaint_hair(sharpened, mask)
         smoothed = smooth_inpainted(inpainted, mask)
-        results.append((sample, sharpened, mask, inpainted, smoothed))
+        results.append((scene, sharpened, mask, inpainted, smoothed))
     return results
 
 
@@ -123,11 +125,11 @@ def test_criterion_5_hair_removal_efficacy(corpus_results):
     start = time.time()
     tp = fn = 0
     gains = []
-    for sample, _, mask, _, smoothed in corpus_results:
-        tp += (mask.bits & sample.hair_mask).sum()
-        fn += (~mask.bits & sample.hair_mask).sum()
-        before = quality_row("before", sample.clean, sample.hairy).psnr
-        gains.append(quality_row("after", sample.clean, smoothed).psnr - before)
+    for (hairy, clean, footprint), _, mask, _, smoothed in corpus_results:
+        tp += (mask.bits & footprint).sum()
+        fn += (~mask.bits & footprint).sum()
+        before = quality_row("before", clean, hairy).psnr
+        gains.append(quality_row("after", clean, smoothed).psnr - before)
     recall = tp / (tp + fn)
     mean_gain = float(np.mean(gains))
     assert recall >= 0.90
@@ -137,7 +139,7 @@ def test_criterion_5_hair_removal_efficacy(corpus_results):
 
 
 def test_criterion_6_pipeline_locality(corpus_results):
-    for sample, sharpened, mask, inpainted, smoothed in corpus_results:
+    for _, sharpened, mask, inpainted, smoothed in corpus_results:
         outside = ~mask.bits
         assert np.array_equal(inpainted.pixels[outside], sharpened.pixels[outside])
         assert np.array_equal(smoothed.pixels[outside], inpainted.pixels[outside])

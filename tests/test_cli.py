@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -24,7 +25,7 @@ from lesionprep.preprocess import PreprocessConfig
 from lesionprep.probe import TrainConfig
 from lesionprep.raster import Image, encode_netpbm
 
-from synthetic import generate_sample
+from test_preprocess import hairy_scene
 
 
 def write_image(path, seed, bright):
@@ -264,6 +265,35 @@ class TestPreprocess:
                 "--out-root", tmp_path / "out", "--no-sharpen")
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("images, widths", [(3, [3]), (1, [])], ids=["3-images", "1-image"])
+    def test_pool_has_at_most_one_worker_per_image(self, tmp_path, monkeypatch, images, widths):
+        # a fake pool that records its width and maps in this process, so no
+        # worker starts; one image runs serially, with no pool at all
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        for i in range(images):
+            write_image(tmp_path / "data" / f"i{i}.ppm", seed=i, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\n" + "".join(f"i{i}.ppm,benign,train\n" for i in range(images)))
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path / "data",
+                   "--out-root", tmp_path / "out", "--jobs", 8) == 0
+        assert started == widths
+        assert len((tmp_path / "out" / "preprocess_log.jsonl").read_text().splitlines()) == images
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         manifest = tmp_path / "m.csv"
@@ -399,28 +429,55 @@ class TestOutputCollisions:
                                         "train/benign/a.pre.ppm,benign,train\n")
         return {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
 
-    def refused_overwrite(self, tmp_path, capsys, linked, out_root, *argv):
+    def refused_overwrite(self, tmp_path, capsys, before, output, entry, other, *argv):
         # one ERROR line naming both entries, and no file changed or added
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.count("ERROR") == 1
         assert error_message(err) == (
-            f"{tmp_path / 'm.csv'}: output {out_root / 'train' / 'benign' / 'a.pre.ppm'} of "
-            f"'train/benign/a.ppm' would overwrite the input 'train/benign/a.pre.ppm'")
-        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == linked
+            f"{tmp_path / 'm.csv'}: output {output} of {entry!r} would overwrite the input {other!r}")
+        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("images, out", [("data", "link"), ("link", "data")],
                              ids=["out-root-links-to-images-root", "images-root-links-to-out-root"])
     def test_preprocess_sees_through_symlinks(self, tmp_path, capsys, linked, images, out, jobs):
-        self.refused_overwrite(tmp_path, capsys, linked, tmp_path / out, "preprocess",
+        self.refused_overwrite(tmp_path, capsys, linked, tmp_path / out / "train" / "benign" / "a.pre.ppm",
+                               "train/benign/a.ppm", "train/benign/a.pre.ppm", "preprocess",
                                "--manifest", tmp_path / "m.csv", "--images-root", tmp_path / images,
                                "--out-root", tmp_path / out, "--jobs", jobs)
 
     def test_quality_refuses_the_same_layout(self, tmp_path, capsys, linked):
-        self.refused_overwrite(tmp_path, capsys, linked, tmp_path / "link", "quality",
+        self.refused_overwrite(tmp_path, capsys, linked, tmp_path / "link" / "train" / "benign" / "a.pre.ppm",
+                               "train/benign/a.ppm", "train/benign/a.pre.ppm", "quality",
                                "--manifest", tmp_path / "m.csv", "--images-root", tmp_path / "data",
                                "--pre-root", tmp_path / "link", "--out", tmp_path / "q.csv")
+
+    @pytest.fixture
+    def linked_inputs(self, tmp_path):
+        """``data`` holding a.ppm and b.pre.ppm and the links b.ppm -> a.ppm
+        and x.ppm -> b.pre.ppm, and ``m.csv`` listing b.ppm and x.ppm: b.ppm's
+        output b.pre.ppm is the file that the input x.ppm reads."""
+        data = tmp_path / "data"
+        write_image(data / "a.ppm", seed=1, bright=True)
+        write_image(data / "b.pre.ppm", seed=2, bright=False)
+        (data / "b.ppm").symlink_to("a.ppm")
+        (data / "x.ppm").symlink_to("b.pre.ppm")
+        (tmp_path / "m.csv").write_text("path,label,split\nb.ppm,benign,train\nx.ppm,benign,train\n")
+        return {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_preprocess_resolves_an_input_that_is_a_symlink(self, tmp_path, capsys, linked_inputs, jobs):
+        data = tmp_path / "data"
+        self.refused_overwrite(tmp_path, capsys, linked_inputs, data / "b.pre.ppm", "b.ppm", "x.ppm",
+                               "preprocess", "--manifest", tmp_path / "m.csv", "--images-root", data,
+                               "--out-root", data, "--jobs", jobs)
+
+    def test_quality_resolves_an_input_that_is_a_symlink(self, tmp_path, capsys, linked_inputs):
+        data = tmp_path / "data"
+        self.refused_overwrite(tmp_path, capsys, linked_inputs, data / "b.pre.ppm", "b.ppm", "x.ppm",
+                               "quality", "--manifest", tmp_path / "m.csv", "--images-root", data,
+                               "--pre-root", data, "--out", tmp_path / "q.csv")
 
     def test_distinct_stems_beside_each_other_are_kept(self, dataset_root, tmp_path):
         # a.ppm and a.b.ppm have the stems a and a.b
@@ -755,11 +812,11 @@ def test_verbose_is_an_unknown_flag():
 
 
 def test_pipeline_end_to_end_on_synthetic(tmp_path):
-    # full loop on one generated hairy image: preprocess improves PSNR
-    sample = generate_sample(seed=5, size=96)
+    # full loop on one generated 224x224 hairy image: preprocess improves PSNR
+    hairy, clean, _ = hairy_scene(1, 5, 5)
     root = tmp_path / "data" / "train" / "malignant"
     root.mkdir(parents=True)
-    (root / "hairy.ppm").write_bytes(encode_netpbm(sample.hairy))
+    (root / "hairy.ppm").write_bytes(encode_netpbm(hairy))
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,label,split\ntrain/malignant/hairy.ppm,malignant,train\n")
     out_root = tmp_path / "pre"
@@ -771,5 +828,5 @@ def test_pipeline_end_to_end_on_synthetic(tmp_path):
     refined = decode_netpbm(
         (out_root / "train" / "malignant" / "hairy.pre.ppm").read_bytes()
     )
-    before = quality_row("before", sample.clean, sample.hairy).psnr
-    assert quality_row("after", sample.clean, refined).psnr > before
+    before = quality_row("before", clean, hairy).psnr
+    assert quality_row("after", clean, refined).psnr > before

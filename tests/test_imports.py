@@ -13,7 +13,9 @@ so an import that fails cannot pass by ending the command early.
 No module of the package reads a private attribute (``x._name``, dunders
 excepted) of anything but ``self`` or ``cls``: what one module needs of
 another is public. In the CLI, only ``_entry_files`` reads a manifest, so
-each entry's input and output paths are made in one place.
+each entry's input and output paths are made in one place. In the tests,
+scipy serves only as a reference: ``scipy`` and ``ndimage`` are used only
+inside functions named ``*_oracle``.
 """
 
 import ast
@@ -161,3 +163,18 @@ def test_manifest_guard_sees_every_reference():
     source = ("from x import read_manifest\nr = dataset.read_manifest\n"
               "def f():\n    def g():\n        return read_manifest(m)\n    return mod.dataset.read_manifest\n")
     assert functions_referencing(source, "read_manifest") == ["<module>", "g", "f"]
+
+
+def test_scipy_is_used_only_in_oracles():
+    found = {path.name: [f for name in ("scipy", "ndimage") for f in functions_referencing(path.read_text(), name)
+                         if not f.endswith("_oracle")] for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {}
+
+
+def test_scipy_guard_sees_every_reference():
+    # an import only binds the name; each use of it is a reference
+    source = ("from scipy import ndimage\nimport scipy\nk = scipy.ndimage\n"
+              "def blur_oracle(a):\n    def pad(b):\n        return ndimage.sobel(b)\n    return ndimage.sobel(a)\n"
+              "def footprint(a):\n    return scipy.ndimage.binary_dilation(a)\n")
+    assert [functions_referencing(source, name) for name in ("scipy", "ndimage")] == [
+        ["<module>", "footprint"], ["<module>", "pad", "blur_oracle", "footprint"]]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -83,7 +82,7 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
     Raised before any image is read or written, a ValueError naming the
     manifest refuses a path that is absolute or empty or has a ``..`` segment,
     two entries with the same outputs (``a.ppm``, ``a.pnm``), and an output
-    that, with symlinks resolved, is some entry's input."""
+    whose name, with symlinks resolved, is the file of some entry's input."""
     files = []
     for e in _read(manifest, dataset.read_manifest):
         rel = PurePath(e.path)
@@ -92,8 +91,8 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
         files.append((e, Path(images_root) / e.path))
     if out_root is None:
         return files
-    # an input is read through every link; os.replace replaces an output's name, not its target
-    real_dir = functools.cache(os.path.realpath)
+    # an output name that resolves to an input's file is that file or a link the input may be read
+    # through, and os.replace would swap either for the refined image
     inputs = {os.path.realpath(src): e.path for e, src in files}
     owners = {}
     for i, (e, src) in enumerate(files):
@@ -103,7 +102,7 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
             raise ValueError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
         mask = pre.with_name(f"{rel.stem}.mask.pgm")
         for out in (pre, mask):
-            if (other := inputs.get(os.path.join(real_dir(out.parent), out.name))) is not None:
+            if (other := inputs.get(os.path.realpath(out))) is not None:
                 raise ValueError(f"{manifest}: output {out} of {e.path!r} would overwrite the input {other!r}")
         files[i] = (e, src, pre, mask)
     return files

@@ -112,7 +112,7 @@ def corpus_results():
     pipeline stages."""
     results = []
     for index in range(CORPUS_SIZE):
-        scene = hairy_scene(1, index, 5)
+        scene = hairy_scene(index)
         sharpened = unsharp_mask(scene[0])
         mask = clean_mask(detect_hair_mask(sharpened))
         inpainted = inpaint_hair(sharpened, mask)

@@ -62,6 +62,12 @@ def error_message(err: str) -> str:
     return line.removeprefix("ERROR ")
 
 
+def snapshot(root):
+    """Each file under ``root``, by its path, as its link target (False when
+    it is no link) and the bytes read through it."""
+    return {f: (f.is_symlink() and os.readlink(f), f.read_bytes()) for f in root.rglob("*") if f.is_file()}
+
+
 # metrics a hand-edited report.json might carry; `report` must not print them
 STALE_METRICS = dict.fromkeys(["accuracy", "sensitivity", "specificity", "precision", "f1"], 1.0)
 
@@ -427,16 +433,16 @@ class TestOutputCollisions:
         (tmp_path / "link").symlink_to(data, target_is_directory=True)
         (tmp_path / "m.csv").write_text("path,label,split\ntrain/benign/a.ppm,benign,train\n"
                                         "train/benign/a.pre.ppm,benign,train\n")
-        return {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        return snapshot(tmp_path)
 
     def refused_overwrite(self, tmp_path, capsys, before, output, entry, other, *argv):
-        # one ERROR line naming both entries, and no file changed or added
+        # one ERROR line naming both entries, and no file or link changed or added
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.count("ERROR") == 1
         assert error_message(err) == (
             f"{tmp_path / 'm.csv'}: output {output} of {entry!r} would overwrite the input {other!r}")
-        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("images, out", [("data", "link"), ("link", "data")],
@@ -453,31 +459,37 @@ class TestOutputCollisions:
                                "--manifest", tmp_path / "m.csv", "--images-root", tmp_path / "data",
                                "--pre-root", tmp_path / "link", "--out", tmp_path / "q.csv")
 
-    @pytest.fixture
-    def linked_inputs(self, tmp_path):
-        """``data`` holding a.ppm and b.pre.ppm and the links b.ppm -> a.ppm
-        and x.ppm -> b.pre.ppm, and ``m.csv`` listing b.ppm and x.ppm: b.ppm's
-        output b.pre.ppm is the file that the input x.ppm reads."""
+    # each layout: a second file in data/ beside a.ppm, the links in data/,
+    # and the two entries of m.csv, the first of which has an output that the
+    # second is read through
+    LINKED_INPUTS = {
+        "input-links-to-an-output": ("b.pre.ppm", {"b.ppm": "a.ppm", "x.ppm": "b.pre.ppm"}, "b.ppm", "x.ppm"),
+        "listed-input-is-an-output-link": ("c.ppm", {"a.pre.ppm": "c.ppm"}, "a.ppm", "a.pre.ppm"),
+        "input-links-through-an-output": ("c.ppm", {"x.ppm": "a.pre.ppm", "a.pre.ppm": "c.ppm"}, "a.ppm", "x.ppm"),
+    }
+
+    @pytest.fixture(params=LINKED_INPUTS.values(), ids=LINKED_INPUTS.keys())
+    def linked_inputs(self, request, tmp_path):
+        """The layout's snapshot, the refused output's path, and its two entries."""
+        second, links, entry, other = request.param
         data = tmp_path / "data"
         write_image(data / "a.ppm", seed=1, bright=True)
-        write_image(data / "b.pre.ppm", seed=2, bright=False)
-        (data / "b.ppm").symlink_to("a.ppm")
-        (data / "x.ppm").symlink_to("b.pre.ppm")
-        (tmp_path / "m.csv").write_text("path,label,split\nb.ppm,benign,train\nx.ppm,benign,train\n")
-        return {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        write_image(data / second, seed=2, bright=False)
+        for name, target in links.items():
+            (data / name).symlink_to(target)
+        (tmp_path / "m.csv").write_text(f"path,label,split\n{entry},benign,train\n{other},benign,train\n")
+        return snapshot(tmp_path), data / f"{Path(entry).stem}.pre.ppm", entry, other
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_preprocess_resolves_an_input_that_is_a_symlink(self, tmp_path, capsys, linked_inputs, jobs):
         data = tmp_path / "data"
-        self.refused_overwrite(tmp_path, capsys, linked_inputs, data / "b.pre.ppm", "b.ppm", "x.ppm",
-                               "preprocess", "--manifest", tmp_path / "m.csv", "--images-root", data,
-                               "--out-root", data, "--jobs", jobs)
+        self.refused_overwrite(tmp_path, capsys, *linked_inputs, "preprocess", "--manifest", tmp_path / "m.csv",
+                               "--images-root", data, "--out-root", data, "--jobs", jobs)
 
     def test_quality_resolves_an_input_that_is_a_symlink(self, tmp_path, capsys, linked_inputs):
         data = tmp_path / "data"
-        self.refused_overwrite(tmp_path, capsys, linked_inputs, data / "b.pre.ppm", "b.ppm", "x.ppm",
-                               "quality", "--manifest", tmp_path / "m.csv", "--images-root", data,
-                               "--pre-root", data, "--out", tmp_path / "q.csv")
+        self.refused_overwrite(tmp_path, capsys, *linked_inputs, "quality", "--manifest", tmp_path / "m.csv",
+                               "--images-root", data, "--pre-root", data, "--out", tmp_path / "q.csv")
 
     def test_distinct_stems_beside_each_other_are_kept(self, dataset_root, tmp_path):
         # a.ppm and a.b.ppm have the stems a and a.b
@@ -813,7 +825,7 @@ def test_verbose_is_an_unknown_flag():
 
 def test_pipeline_end_to_end_on_synthetic(tmp_path):
     # full loop on one generated 224x224 hairy image: preprocess improves PSNR
-    hairy, clean, _ = hairy_scene(1, 5, 5)
+    hairy, clean, _ = hairy_scene(5)
     root = tmp_path / "data" / "train" / "malignant"
     root.mkdir(parents=True)
     (root / "hairy.ppm").write_bytes(encode_netpbm(hairy))

@@ -38,12 +38,14 @@ _corpus = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_corpus)
 
 
-def hairy_scene(seed: int, index: int, strokes: int) -> tuple[Image, Image, np.ndarray]:
-    """The bench corpus's image ``index`` at ``seed`` with ``strokes`` hairs,
-    its hair-free twin, which shares every draw but the strokes, and the hair
-    footprint: the pixels where the two differ in any channel, dilated 3x3 as
-    clean_mask dilates, so that it takes in the strokes' anti-aliased fringe."""
-    hairy, clean = _corpus.render_image(seed, index, strokes), _corpus.render_image(seed, index, 0)
+def hairy_scene(index: int) -> tuple[Image, Image, np.ndarray]:
+    """The bench corpus's image ``index`` at seed 1 with the hairy workload's
+    strokes, its hair-free twin, which shares every draw but the strokes, and
+    the hair footprint: the pixels where the two differ in any channel,
+    dilated 3x3 as clean_mask dilates, so that it takes in the strokes'
+    anti-aliased fringe."""
+    strokes = _corpus.WORKLOADS["hairy"].strokes
+    hairy, clean = _corpus.render_image(1, index, strokes), _corpus.render_image(1, index, 0)
     padded = np.pad((hairy != clean).any(axis=2), 1)
     rows = padded[:, :-2] | padded[:, 1:-1] | padded[:, 2:]
     return Image(hairy), Image(clean), rows[:-2] | rows[1:-1] | rows[2:]
@@ -826,7 +828,7 @@ class TestPipeline:
     def test_improves_psnr_on_synthetic_hair(self):
         from lesionprep.quality import quality_row
 
-        hairy, clean, _ = hairy_scene(1, 42, 5)
+        hairy, clean, _ = hairy_scene(42)
         out, _ = preprocess_pipeline(hairy)
         before = quality_row("before", clean, hairy).psnr
         assert quality_row("after", clean, out).psnr > before
@@ -834,7 +836,7 @@ class TestPipeline:
     def test_near_idempotent_on_synthetic(self):
         changed = total = 0
         for index in (3, 7, 42):
-            hairy, _, _ = hairy_scene(1, index, 5)
+            hairy, _, _ = hairy_scene(index)
             once, _ = preprocess_pipeline(hairy)
             twice, _ = preprocess_pipeline(once)
             diff = np.abs(twice.pixels.astype(int) - once.pixels.astype(int)).max(axis=2)
@@ -845,7 +847,7 @@ class TestPipeline:
     def test_mask_recall_and_precision_on_corpus(self):
         tp = fp = fn = 0
         for index in range(10):
-            hairy, _, truth = hairy_scene(1, index, 5)
+            hairy, _, truth = hairy_scene(index)
             _, mask = preprocess_pipeline(hairy)
             tp += (mask.bits & truth).sum()
             fp += (mask.bits & ~truth).sum()
@@ -854,7 +856,7 @@ class TestPipeline:
         assert tp / (tp + fp) >= 0.60
 
     def test_disabling_stages(self):
-        hairy, _, _ = hairy_scene(1, 3, 5)
+        hairy, _, _ = hairy_scene(3)
         cfg = PreprocessConfig(sharpen_amount=0, hair_removal_enabled=False)
         out, mask = preprocess_pipeline(hairy, cfg)
         assert out == hairy

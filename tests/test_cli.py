@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -277,20 +278,11 @@ class TestPreprocess:
         # worker starts; one image runs serially, with no pool at all
         started = []
 
-        class Pool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def pool(max_workers):
+            started.append(max_workers)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         for i in range(images):
             write_image(tmp_path / "data" / f"i{i}.ppm", seed=i, bright=True)
         manifest = tmp_path / "m.csv"
@@ -410,7 +402,7 @@ class TestOutputCollisions:
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,label,split\ntrain/benign/a.ppm,benign,train\n"
                             f"train/benign/{output},benign,train\n")
-        before = {f: f.read_bytes() for f in data.rglob("*") if f.is_file()}
+        before = snapshot(data)
 
         def read(path):
             raise AssertionError(f"read {path} before refusing the manifest")
@@ -421,7 +413,7 @@ class TestOutputCollisions:
         assert error_message(capsys.readouterr().err) == (
             f"{manifest}: output {data / 'train' / 'benign' / output} of 'train/benign/a.ppm' "
             f"would overwrite the input 'train/benign/{output}'")
-        assert {f: f.read_bytes() for f in data.rglob("*") if f.is_file()} == before
+        assert snapshot(data) == before
 
     @pytest.fixture
     def linked(self, tmp_path):

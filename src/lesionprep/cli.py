@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -81,8 +82,8 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
     with its ``<stem>.pre.ppm`` and ``<stem>.mask.pgm`` under ``out_root``.
     Raised before any image is read or written, a ValueError naming the
     manifest refuses a path that is absolute or empty or has a ``..`` segment,
-    two entries with the same outputs (``a.ppm``, ``a.pnm``), and an output
-    whose name, with symlinks resolved, is the file of some entry's input."""
+    and an output whose name, with symlinks resolved, is the file of some
+    entry's input or of another output (``a.ppm`` and ``a.pnm`` share both)."""
     files = []
     for e in _read(manifest, dataset.read_manifest):
         rel = PurePath(e.path)
@@ -91,19 +92,19 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
         files.append((e, Path(images_root) / e.path))
     if out_root is None:
         return files
-    # an output name that resolves to an input's file is that file or a link the input may be read
-    # through, and os.replace would swap either for the refined image
-    inputs = {os.path.realpath(src): e.path for e, src in files}
-    owners = {}
+    # every input, then every output, claims the file its name resolves to: os.replace would swap
+    # a claimed file, or a link on the way to it, for a refined image
+    claims = {os.path.realpath(src): (e.path, None) for e, src in files}
     for i, (e, src) in enumerate(files):
         rel = PurePath(e.path)
         pre = Path(out_root) / rel.parent / f"{rel.stem}.pre.ppm"
-        if owners.setdefault(pre, e.path) != e.path:
-            raise ValueError(f"{manifest}: paths {owners[pre]!r} and {e.path!r} both map to {pre}")
         mask = pre.with_name(f"{rel.stem}.mask.pgm")
         for out in (pre, mask):
-            if (other := inputs.get(os.path.realpath(out))) is not None:
-                raise ValueError(f"{manifest}: output {out} of {e.path!r} would overwrite the input {other!r}")
+            owner, claimed = claims.setdefault(os.path.realpath(out), (e.path, out))
+            if claimed is None:
+                raise ValueError(f"{manifest}: output {out} of {e.path!r} would overwrite the input {owner!r}")
+            if (owner, claimed) != (e.path, out):
+                raise ValueError(f"{manifest}: paths {owner!r} and {e.path!r} both map to {out}")
         files[i] = (e, src, pre, mask)
     return files
 
@@ -121,21 +122,21 @@ def _write_atomic(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _preprocess_one(task):
-    """Worker: returns (rel_path, masked_pixels) or raises a ValueError that
-    names the image."""
+def _preprocess_one(config, row):
+    """Worker: refines one ``_entry_files`` row; returns (entry path, masked
+    pixels) or raises a ValueError that names the image."""
     import numpy as np
 
     from .preprocess import preprocess_pipeline
     from .raster import GrayImage, encode_netpbm
 
-    rel_path, src_path, pre_path, mask_path, config = task
-    refined, mask = _read(src_path, lambda path: preprocess_pipeline(_load_image(path), config))
-    Path(pre_path).parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(Path(pre_path), encode_netpbm(refined))
+    e, src, pre, mask_path = row
+    refined, mask = _read(src, lambda path: preprocess_pipeline(_load_image(path), config))
+    pre.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(pre, encode_netpbm(refined))
     mask_u8 = mask.bits.astype(np.uint8) * np.uint8(255)
-    _write_atomic(Path(mask_path), encode_netpbm(GrayImage(mask_u8)))
-    return rel_path, mask.count()
+    _write_atomic(mask_path, encode_netpbm(GrayImage(mask_u8)))
+    return e.path, mask.count()
 
 
 def cmd_preprocess(args) -> int:
@@ -151,15 +152,14 @@ def cmd_preprocess(args) -> int:
     if not files:
         print("WARNING empty manifest: nothing to do", file=sys.stderr)
         return 0
-    tasks = [(e.path, str(src), str(pre), str(mask), config) for e, src, pre, mask in files]
-    jobs = min(args.jobs, len(tasks))  # a forked pool starts all its workers at once
+    jobs = min(args.jobs, len(files))  # a forked pool starts all its workers at once
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_preprocess_one, tasks))
+            results = list(pool.map(functools.partial(_preprocess_one, config), files))
     else:
-        results = [_preprocess_one(t) for t in tasks]
+        results = [_preprocess_one(config, row) for row in files]
     config_dict = dataclasses.asdict(config)
     lines = (json.dumps({"path": rel_path, "config": config_dict, "masked_pixels": masked}, sort_keys=True)
              for rel_path, masked in results)  # manifest order, pool-width independent
@@ -271,10 +271,10 @@ def cmd_report(args) -> int:
     from . import evaluation
 
     def saved_report(path: Path) -> evaluation.ConfusionMatrix:
-        payload = json.loads(path.read_bytes())
         try:
+            payload = json.loads(path.read_bytes())
             return evaluation.ConfusionMatrix(**payload["confusion"])
-        except (KeyError, TypeError) as exc:  # a missing, unknown or ill-typed field
+        except (KeyError, RecursionError, TypeError) as exc:  # nested too deep, or a missing, unknown or ill-typed field
             raise ValueError(str(exc)) from exc
 
     text = _read(args.input, lambda path: evaluation.render_report_text(

@@ -13,6 +13,7 @@ published table's whole percentages (see `paper_rounding`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -128,19 +129,8 @@ def metrics_report(records: Sequence[PredictionRecord]) -> ConfusionMatrix:
     its properties are the metrics."""
     if not records:
         raise ValueError("no records to evaluate")
-    tp = fp = fn = tn = 0
-    for r in records:
-        if r.predicted == "malignant":
-            if r.truth == "malignant":
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if r.truth == "malignant":
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp, fp, fn, tn)
+    counts = Counter((r.predicted == "malignant", r.truth == "malignant") for r in records)
+    return ConfusionMatrix(counts[True, True], counts[True, False], counts[False, True], counts[False, False])
 
 
 def f1(precision_pct: Fraction | float, recall_pct: Fraction | float) -> Fraction | float:

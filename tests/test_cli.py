@@ -12,7 +12,7 @@ import tempfile
 import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
@@ -353,43 +353,60 @@ class TestQuality:
 
 
 class TestOutputCollisions:
-    """Two manifest paths that share a stem share their outputs; preprocess
-    and quality refuse them, naming both, before any image is read."""
+    """Two manifest paths whose outputs resolve to one file, as those of two
+    paths that share a stem do; preprocess and quality refuse them, naming
+    both, before any image is read."""
 
-    @pytest.fixture
-    def colliding(self, tmp_path, monkeypatch):
-        data = tmp_path / "data"
-        write_image(data / "train" / "benign" / "a.ppm", seed=1, bright=True)
-        write_image(data / "train" / "benign" / "a.pnm", seed=2, bright=False)
+    # each layout: the images written under data/train/benign, the directory
+    # links there, the two entries of m.csv, and the output roots of
+    # preprocess and quality; both entries' outputs resolve to those of the
+    # second, and with the link the outputs go beside the inputs
+    COLLIDING = {
+        "same-stem": (["a.ppm", "a.pnm"], {}, ["a.ppm", "a.pnm"], ["out", "pre"]),
+        "linked-subdirectory": (["y/a.ppm", "y/a.pnm"], {"x": "y"}, ["x/a.ppm", "y/a.pnm"], ["data", "data"]),
+    }
+
+    @pytest.fixture(params=COLLIDING.values(), ids=COLLIDING.keys())
+    def colliding(self, request, tmp_path, monkeypatch):
+        """The layout's two entries, its two output roots, and its snapshot."""
+        images, links, entries, roots = request.param
+        benign = tmp_path / "data" / "train" / "benign"
+        for seed, name in enumerate(images, 1):
+            write_image(benign / name, seed=seed, bright=seed == 1)
+        for name, target in links.items():
+            (benign / name).symlink_to(target, target_is_directory=True)
         write_image(tmp_path / "pre" / "train" / "benign" / "a.pre.ppm", seed=1, bright=True)
-        manifest = tmp_path / "m.csv"
-        manifest.write_text("path,label,split\ntrain/benign/a.ppm,benign,train\n"
-                            "train/benign/a.pnm,benign,train\n")
+        entries = [f"train/benign/{e}" for e in entries]
+        (tmp_path / "m.csv").write_text("path,label,split\n" + "".join(f"{e},benign,train\n" for e in entries))
 
         def read(path):
             raise AssertionError(f"read {path} before refusing the manifest")
 
         monkeypatch.setattr(cli, "_load_image", read)
-        return manifest
+        return entries, [tmp_path / root for root in roots], snapshot(tmp_path)
 
-    def refused(self, capsys, manifest, root, *argv):
+    def refused(self, tmp_path, capsys, entries, before, root, *argv):
+        # one ERROR line naming both entries, and no file or link changed or added
+        first, second = entries
         assert run(*argv) == 2
-        assert error_message(capsys.readouterr().err) == (
-            f"{manifest}: paths 'train/benign/a.ppm' and 'train/benign/a.pnm' both map to "
-            f"{root / 'train' / 'benign' / 'a.pre.ppm'}")
+        err = capsys.readouterr().err
+        assert err.count("ERROR") == 1
+        assert error_message(err) == (f"{tmp_path / 'm.csv'}: paths {first!r} and {second!r} both map to "
+                                      f"{root / PurePath(second).with_name('a.pre.ppm')}")
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_preprocess(self, tmp_path, capsys, colliding, jobs):
-        out = tmp_path / "out"
-        self.refused(capsys, colliding, out, "preprocess", "--manifest", colliding, "--images-root",
-                     tmp_path / "data", "--out-root", out, "--jobs", jobs)
-        assert not out.exists()
+        entries, (out, _), before = colliding
+        self.refused(tmp_path, capsys, entries, before, out, "preprocess", "--manifest", tmp_path / "m.csv",
+                     "--images-root", tmp_path / "data", "--out-root", out, "--jobs", jobs)
+        assert not (tmp_path / "out").exists()
 
     def test_quality(self, tmp_path, capsys, colliding):
-        report = tmp_path / "q.csv"
-        self.refused(capsys, colliding, tmp_path / "pre", "quality", "--manifest", colliding, "--images-root",
-                     tmp_path / "data", "--pre-root", tmp_path / "pre", "--out", report)
-        assert not report.exists()
+        entries, (_, pre), before = colliding
+        self.refused(tmp_path, capsys, entries, before, pre, "quality", "--manifest", tmp_path / "m.csv",
+                     "--images-root", tmp_path / "data", "--pre-root", pre, "--out", tmp_path / "q.csv")
+        assert not (tmp_path / "q.csv").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("output", ["a.pre.ppm", "a.mask.pgm"])
@@ -699,6 +716,14 @@ class TestEvalAndReport:
         captured = capsys.readouterr()
         message = error_message(captured.err).split(": ", 1)[1]
         assert f"'{field}'" in message or message.startswith(f"{field} ")
+        assert captured.out == ""
+
+    def test_report_nested_too_deep_is_data_error(self, tmp_path, capsys):
+        saved = tmp_path / "report.json"
+        saved.write_text("[" * 100000 + "]" * 100000)
+        assert run("report", saved) == 2
+        captured = capsys.readouterr()
+        assert error_message(captured.err).startswith(f"{saved}: maximum recursion depth exceeded")
         assert captured.out == ""
 
     def test_eval_missing_log_is_data_error(self, tmp_path):

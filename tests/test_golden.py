@@ -39,6 +39,7 @@ import pytest
 
 import lesionprep
 from lesionprep.cli import _load_image, _preprocess_one
+from lesionprep.dataset import ManifestEntry
 from lesionprep.preprocess import PreprocessConfig, _gaussian_kernel
 from lesionprep.probe import TrainConfig, extract_features, format_curve, format_model, train_probe
 from lesionprep.quality import format_quality_report, quality_report
@@ -76,7 +77,8 @@ def refine(name: str, fields: dict, out_dir: Path):
     refined image."""
     src = GOLDEN / f"{name}.ppm"
     pre, mask = out_dir / f"{name}.pre.ppm", out_dir / f"{name}.mask.pgm"
-    _, masked = _preprocess_one((name, str(src), str(pre), str(mask), PreprocessConfig(**fields)))
+    row = (ManifestEntry(name, "benign", "train"), src, pre, mask)
+    _, masked = _preprocess_one(PreprocessConfig(**fields), row)
     digests = {"pre_ppm": sha(pre.read_bytes()), "mask_pgm": sha(mask.read_bytes()), "masked_pixels": masked}
     return digests, decode_netpbm(pre.read_bytes())
 

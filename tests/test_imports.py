@@ -12,8 +12,9 @@ so an import that fails cannot pass by ending the command early.
 
 No module of the package reads a private attribute (``x._name``, dunders
 excepted) of anything but ``self`` or ``cls``: what one module needs of
-another is public. In the CLI, only ``_entry_files`` reads a manifest, so
-each entry's input and output paths are made in one place. In the tests,
+another is public. In the CLI, only ``_entry_files`` reads a manifest or
+resolves a path, so each entry's input and output paths are made, and two
+names are found to be one file, in one place. In the tests,
 scipy serves only as a reference: ``scipy`` and ``ndimage`` are used only
 inside functions named ``*_oracle``.
 """
@@ -154,9 +155,10 @@ def functions_referencing(source: str, name: str) -> list[str]:
     return found
 
 
-def test_only_entry_files_reads_a_manifest():
+@pytest.mark.parametrize("name, references", [("read_manifest", 1), ("realpath", 2)])
+def test_only_entry_files_reads_a_manifest(name, references):
     source = (SRC / "lesionprep" / "cli.py").read_text()
-    assert functions_referencing(source, "read_manifest") == ["_entry_files"]
+    assert functions_referencing(source, name) == ["_entry_files"] * references
 
 
 def test_manifest_guard_sees_every_reference():

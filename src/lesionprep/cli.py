@@ -103,8 +103,10 @@ def _entry_files(manifest, images_root, out_root=None) -> list[tuple]:
             owner, claimed = claims.setdefault(os.path.realpath(out), (e.path, out))
             if claimed is None:
                 raise ValueError(f"{manifest}: output {out} of {e.path!r} would overwrite the input {owner!r}")
-            if (owner, claimed) != (e.path, out):
+            if owner != e.path:
                 raise ValueError(f"{manifest}: paths {owner!r} and {e.path!r} both map to {out}")
+            if claimed != out:  # this entry's own .pre.ppm
+                raise ValueError(f"{manifest}: outputs {pre} and {mask} of {e.path!r} are one file")
         files[i] = (e, src, pre, mask)
     return files
 
@@ -261,7 +263,8 @@ def cmd_eval(args) -> int:
         evaluation.parse_prediction_log(path.read_bytes())))
     payload = evaluation.report_to_dict(report, paper_round=args.paper_rounding)
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    sys.stderr.write(evaluation.render_report_text(report, paper_round=args.paper_rounding))
+    for line in evaluation.render_report_text(report, paper_round=args.paper_rounding).splitlines():
+        print(f"INFO {line}", file=sys.stderr)
     return 0
 
 

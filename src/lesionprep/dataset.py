@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -147,14 +147,9 @@ def split_train_val(entries: Sequence[ManifestEntry], config: SplitConfig) -> li
     out = []
     for label in LABELS:
         group = sorted((e for e in entries if e.label == label), key=lambda e: e.path)
-        if not group:
-            continue
-        rng.shuffle(group)
+        rng.shuffle(group)  # an empty group draws nothing
         n_train = int(len(group) * config.train_fraction)
-        for i, e in enumerate(group):
-            out.append(
-                ManifestEntry(e.path, e.label, "train" if i < n_train else "val")
-            )
+        out += group[:n_train] + [replace(e, split="val") for e in group[n_train:]]
     out.sort(key=lambda e: e.path)
     return out
 

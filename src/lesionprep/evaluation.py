@@ -153,17 +153,13 @@ def paper_rounding(report: ConfusionMatrix) -> dict[str, Optional[int]]:
     return {name: cell(name, getattr(report, name)) for name in METRICS}
 
 
-def _two_decimals(report: ConfusionMatrix) -> dict[str, Optional[float]]:
-    """Each metric rounded once to two decimals, half to even."""
-    values = ((name, getattr(report, name)) for name in METRICS)
-    return {name: None if v is None else float(round(v, 2)) for name, v in values}
-
-
 def report_to_dict(report: ConfusionMatrix, paper_round: bool = False) -> dict:
-    """Machine-readable rendering; percentages carry two decimals."""
+    """Machine-readable rendering: the counts, each metric rounded once to two
+    decimals half to even, and with ``paper_round`` the `paper_rounding` cells."""
+    values = ((name, getattr(report, name)) for name in METRICS)
     d = {
         "confusion": asdict(report),
-        "metrics": _two_decimals(report),
+        "metrics": {name: None if v is None else float(round(v, 2)) for name, v in values},
     }
     if paper_round:
         d["paper_rounded"] = paper_rounding(report)
@@ -171,15 +167,14 @@ def report_to_dict(report: ConfusionMatrix, paper_round: bool = False) -> dict:
 
 
 def render_report_text(report: ConfusionMatrix, paper_round: bool = False) -> str:
-    """Human-readable rendering of the same data."""
-    counts = " ".join(f"{k}={v}" for k, v in asdict(report).items())
+    """Human-readable rendering of the cells of `report_to_dict`."""
+    d = report_to_dict(report, paper_round)
+    counts = " ".join(f"{k}={v}" for k, v in d["confusion"].items())
     lines = [f"confusion (positive=malignant): {counts}"]
-    for name, v in _two_decimals(report).items():
+    for name, v in d["metrics"].items():
         lines.append(f"{name:<13}{'n/a' if v is None else f'{v:.2f}%'}")
     if paper_round:
-        rounded = paper_rounding(report)
-        cells = " ".join(
-            f"{k}={'n/a' if v is None else f'{v}%'}" for k, v in rounded.items()
-        )
+        cells = " ".join(f"{k}={'n/a' if v is None else f'{v}%'}"
+                         for k, v in d["paper_rounded"].items())
         lines.append(f"paper-rounded: {cells}")
     return "\n".join(lines) + "\n"

@@ -166,7 +166,7 @@ def batch_scores(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tup
     z, malignant = _logits(theta, rows), labels == 1
     p_true = np.maximum(_sigmoids(np.where(malignant, z, -z)), 1e-12)
     loss = 0.0 - math.fsum(map(math.log, p_true.tolist()))  # 0 - x: a zero loss is 0, not -0
-    return np.count_nonzero((z > 0) == malignant) / len(z), loss / len(z)
+    return int(np.count_nonzero((z > 0) == malignant)) / len(z), loss / len(z)
 
 
 def batch_gradient(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -218,14 +218,15 @@ def train_probe(
     ring_rows, ring_labels = rows[ring], y[ring]
     theta = np.zeros(rows.shape[1])
     curve = []
-    for it in range(1, config.iterations + 1):
-        start = (it - 1) * m % n
-        window = slice(start, start + m)
-        theta -= step * batch_gradient(theta, ring_rows[window], ring_labels[window])
-        if it % config.eval_interval == 0 or it == config.iterations:
-            train_acc, train_xent = batch_scores(theta, rows, y)
-            val_acc, val_xent = batch_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)
-            curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging theta is refused once, below
+        for it in range(1, config.iterations + 1):
+            start = (it - 1) * m % n
+            window = slice(start, start + m)
+            theta -= step * batch_gradient(theta, ring_rows[window], ring_labels[window])
+            if it % config.eval_interval == 0 or it == config.iterations:
+                train_acc, train_xent = batch_scores(theta, rows, y)
+                val_acc, val_xent = batch_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)
+                curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
 
     return LinearProbeModel(theta), curve
 

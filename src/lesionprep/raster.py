@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
-_SKIP = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*")  # whitespace and comments
+# width, height and maxval, each after whitespace and ``#`` comments (which run
+# to the next CR or LF) and up to the next whitespace; then the one whitespace
+# byte before the payload. An empty token group means the header ended there.
+_FIELD = rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*([^ \t\n\r\x0b\x0c]*)"
+_HEADER = re.compile(_FIELD * 3 + rb"([ \t\n\r\x0b\x0c]?)")
 
 
 class NetpbmError(ValueError):
@@ -77,27 +80,16 @@ class GrayImage(_Raster):
     """Single-channel raster: ``pixels`` has shape (height, width)."""
 
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, after any whitespace and
-    ``#`` comments (which run to the next CR or LF)."""
-    n = len(data)
-    pos = _SKIP.match(data, pos).end()
-    if pos >= n:
-        raise NetpbmError("unexpected end of header", pos)
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return bytes(data[start:pos]), pos  # a memoryview slice has no isdigit
-
-
-def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, end = _read_token(data, pos)
+def _header_int(match: re.Match, group: int, what: str) -> int:
+    token, start = match.group(group), match.start(group)  # bytes for any bytes-like input
+    if not token:
+        raise NetpbmError("unexpected end of header", start)
     if not token.isdigit():
-        raise NetpbmError(f"invalid {what} token {token!r}", end - len(token))
+        raise NetpbmError(f"invalid {what} token {token!r}", start)
     try:
-        return int(token), end
+        return int(token)
     except ValueError:  # more digits than int() converts
-        raise NetpbmError(f"{what} token of {len(token)} digits", end - len(token)) from None
+        raise NetpbmError(f"{what} token of {len(token)} digits", start) from None
 
 
 def decode_netpbm(data: bytes) -> Image | GrayImage:
@@ -112,14 +104,15 @@ def decode_netpbm(data: bytes) -> Image | GrayImage:
         raise NetpbmError(f"bad magic {magic!r}", 0)
     if magic not in (b"P5", b"P6"):
         raise NetpbmError(f"unsupported magic {magic!r}", 0)
-    width, pos = _read_int(data, 2, "width")
-    height, pos = _read_int(data, pos, "height")
-    maxval, pos = _read_int(data, pos, "maxval")
+    header = _HEADER.match(data, 2)
+    width, height, maxval = (_header_int(header, group, what)
+                             for group, what in enumerate(("width", "height", "maxval"), 1))
+    pos = header.end(3)
     if width < 1 or height < 1:
         raise NetpbmError(f"bad dimensions {width}x{height}", pos)
     if maxval != 255:
         raise NetpbmError(f"unsupported maxval {maxval}", pos)
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not header.group(4):
         raise NetpbmError("missing whitespace before payload", pos)
     pos += 1
     channels = 3 if magic == b"P6" else 1

@@ -12,7 +12,7 @@ import tempfile
 import types
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from pathlib import Path, PurePath
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,9 +64,11 @@ def error_message(err: str) -> str:
 
 
 def snapshot(root):
-    """Each file under ``root``, by its path, as its link target (False when
-    it is no link) and the bytes read through it."""
-    return {f: (f.is_symlink() and os.readlink(f), f.read_bytes()) for f in root.rglob("*") if f.is_file()}
+    """Each file or link under ``root``, by its path, as its link target (False
+    when it is no link) and the bytes read through it (False when it leads to
+    no file)."""
+    return {f: (f.is_symlink() and os.readlink(f), f.is_file() and f.read_bytes())
+            for f in root.rglob("*") if f.is_file() or f.is_symlink()}
 
 
 # metrics a hand-edited report.json might carry; `report` must not print them
@@ -119,8 +121,10 @@ def exact_paper_cells(tp, fp, fn, tn):
 
 
 def paper_cells(text):
-    """The `paper-rounded:` line of a text report as {metric: int or None}."""
-    line = next(ln for ln in text.splitlines() if ln.startswith("paper-rounded:"))
+    """The `paper-rounded:` line of a text report, as `report` prints it or
+    as `eval` prints it on ``INFO`` lines, as {metric: int or None}."""
+    lines = (ln.removeprefix("INFO ") for ln in text.splitlines())
+    line = next(ln for ln in lines if ln.startswith("paper-rounded:"))
     cells = dict(cell.split("=") for cell in line.split()[1:])
     return {k: None if v == "n/a" else int(v.rstrip("%")) for k, v in cells.items()}
 
@@ -353,58 +357,68 @@ class TestQuality:
 
 
 class TestOutputCollisions:
-    """Two manifest paths whose outputs resolve to one file, as those of two
-    paths that share a stem do; preprocess and quality refuse them, naming
-    both, before any image is read."""
+    """Manifest paths whose outputs resolve to one file, as those of two paths
+    that share a stem do; preprocess and quality refuse them, naming the
+    entries, before any image is read."""
 
-    # each layout: the images written under data/train/benign, the directory
-    # links there, the two entries of m.csv, and the output roots of
-    # preprocess and quality; both entries' outputs resolve to those of the
-    # second, and with the link the outputs go beside the inputs
+    # each layout: the images written under data/train/benign, the links
+    # under the test's directory, the entries of m.csv, the output roots of
+    # preprocess and quality, and the message, given the manifest and the
+    # output root. Two entries' outputs resolve to those of the second, and
+    # with the link the outputs go beside the inputs; one entry's mask is a
+    # link to its own refined image
     COLLIDING = {
-        "same-stem": (["a.ppm", "a.pnm"], {}, ["a.ppm", "a.pnm"], ["out", "pre"]),
-        "linked-subdirectory": (["y/a.ppm", "y/a.pnm"], {"x": "y"}, ["x/a.ppm", "y/a.pnm"], ["data", "data"]),
+        "same-stem": (["a.ppm", "a.pnm"], {}, ["a.ppm", "a.pnm"], ["out", "pre"],
+                      "{m}: paths 'train/benign/a.ppm' and 'train/benign/a.pnm' both map to "
+                      "{root}/train/benign/a.pre.ppm"),
+        "linked-subdirectory": (["y/a.ppm", "y/a.pnm"], {"data/train/benign/x": "y"}, ["x/a.ppm", "y/a.pnm"],
+                                ["data", "data"],
+                                "{m}: paths 'train/benign/x/a.ppm' and 'train/benign/y/a.pnm' both map to "
+                                "{root}/train/benign/y/a.pre.ppm"),
+        "own-outputs-linked": (["y/a.ppm"], {"out2/train/benign/y/a.mask.pgm": "a.pre.ppm"}, ["y/a.ppm"],
+                               ["out2", "out2"],
+                               "{m}: outputs {root}/train/benign/y/a.pre.ppm and {root}/train/benign/y/a.mask.pgm "
+                               "of 'train/benign/y/a.ppm' are one file"),
     }
 
     @pytest.fixture(params=COLLIDING.values(), ids=COLLIDING.keys())
     def colliding(self, request, tmp_path, monkeypatch):
-        """The layout's two entries, its two output roots, and its snapshot."""
-        images, links, entries, roots = request.param
+        """The layout's output roots, its message, and its snapshot."""
+        images, links, entries, roots, message = request.param
         benign = tmp_path / "data" / "train" / "benign"
         for seed, name in enumerate(images, 1):
             write_image(benign / name, seed=seed, bright=seed == 1)
         for name, target in links.items():
-            (benign / name).symlink_to(target, target_is_directory=True)
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).symlink_to(target)
         write_image(tmp_path / "pre" / "train" / "benign" / "a.pre.ppm", seed=1, bright=True)
-        entries = [f"train/benign/{e}" for e in entries]
-        (tmp_path / "m.csv").write_text("path,label,split\n" + "".join(f"{e},benign,train\n" for e in entries))
+        (tmp_path / "m.csv").write_text("path,label,split\n" + "".join(f"train/benign/{e},benign,train\n"
+                                                                     for e in entries))
 
         def read(path):
             raise AssertionError(f"read {path} before refusing the manifest")
 
         monkeypatch.setattr(cli, "_load_image", read)
-        return entries, [tmp_path / root for root in roots], snapshot(tmp_path)
+        return [tmp_path / root for root in roots], message, snapshot(tmp_path)
 
-    def refused(self, tmp_path, capsys, entries, before, root, *argv):
-        # one ERROR line naming both entries, and no file or link changed or added
-        first, second = entries
+    def refused(self, tmp_path, capsys, message, before, root, *argv):
+        # one ERROR line naming the entries, and no file or link changed or added
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.count("ERROR") == 1
-        assert error_message(err) == (f"{tmp_path / 'm.csv'}: paths {first!r} and {second!r} both map to "
-                                      f"{root / PurePath(second).with_name('a.pre.ppm')}")
+        assert error_message(err) == message.format(m=tmp_path / "m.csv", root=root)
         assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_preprocess(self, tmp_path, capsys, colliding, jobs):
-        entries, (out, _), before = colliding
-        self.refused(tmp_path, capsys, entries, before, out, "preprocess", "--manifest", tmp_path / "m.csv",
+        (out, _), message, before = colliding
+        self.refused(tmp_path, capsys, message, before, out, "preprocess", "--manifest", tmp_path / "m.csv",
                      "--images-root", tmp_path / "data", "--out-root", out, "--jobs", jobs)
         assert not (tmp_path / "out").exists()
 
     def test_quality(self, tmp_path, capsys, colliding):
-        entries, (_, pre), before = colliding
-        self.refused(tmp_path, capsys, entries, before, pre, "quality", "--manifest", tmp_path / "m.csv",
+        (_, pre), message, before = colliding
+        self.refused(tmp_path, capsys, message, before, pre, "quality", "--manifest", tmp_path / "m.csv",
                      "--images-root", tmp_path / "data", "--pre-root", pre, "--out", tmp_path / "q.csv")
         assert not (tmp_path / "q.csv").exists()
 

@@ -8,7 +8,10 @@ train-probe draws its batches from the package's one generator,
 `preprocess --jobs 2` loads `logging`, through `concurrent.futures`.
 
 Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
-so an import that fails cannot pass by ending the command early.
+so an import that fails cannot pass by ending the command early. Each run
+also keeps the stderr contract: every line starts with ``INFO ``, ``WARNING ``
+or ``ERROR ``, and none holds a numpy repr such as ``np.float64(1.0)``. A
+diverging ``train-probe`` runs too, and must exit 2 on its one ``ERROR`` line.
 
 No module of the package reads a private attribute (``x._name``, dunders
 excepted) of anything but ``self`` or ``cls``: what one module needs of
@@ -47,18 +50,27 @@ with open(sys.argv[1], "w") as f:
 
 
 def run_fresh(tmp_path, *argv):
-    """Runs ``lesionprep.cli.main(argv)`` in a new interpreter; returns its
-    exit code and which of numpy, numpy.random, scipy, lesionprep.evaluation,
-    fractions and logging it left in ``sys.modules``."""
+    """Runs ``lesionprep.cli.main(argv)`` in a new interpreter and checks that
+    its stderr keeps the contract; returns its exit code, which of numpy,
+    numpy.random, scipy, lesionprep.evaluation, fractions and logging it left
+    in ``sys.modules``, and its stderr."""
     result = tmp_path / "guard.json"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    subprocess.run(
+    err = subprocess.run(
         [sys.executable, "-c", GUARD, str(result), *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, check=True, timeout=120,
-        capture_output=True,
-    )
+        capture_output=True, text=True,
+    ).stderr
+    assert stderr_faults(err) == []
     payload = json.loads(result.read_text())
-    return payload["code"], payload["loaded"]
+    return payload["code"], payload["loaded"], err
+
+
+def stderr_faults(err: str) -> list[str]:
+    """The lines of ``err`` that start with no ``INFO``, ``WARNING`` or
+    ``ERROR`` level, or that hold a numpy repr."""
+    return [line for line in err.splitlines()
+            if not line.startswith(("INFO ", "WARNING ", "ERROR ")) or "np." in line]
 
 
 @pytest.fixture(scope="module")
@@ -96,23 +108,37 @@ def commands(d, tmp_path):
     }
 
 
+def test_stderr_guard_sees_every_fault():
+    err = ("INFO ok\nWARNING ok\nERROR ok\nINFO final point: CurvePoint(train_accuracy=np.float64(1.0))\n"
+           "/src/probe.py:224: RuntimeWarning: overflow encountered in multiply\n  theta -= step\nINFOx\n")
+    assert stderr_faults(err) == err.splitlines()[3:]
+
+
 @pytest.mark.parametrize("command", ["split", "eval", "report"])
 def test_stdlib_only_subcommands_import_no_numpy(inputs, tmp_path, command):
     evaluation = ["lesionprep.evaluation", "fractions"] if command != "split" else []
-    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, evaluation)
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command])[:2] == (0, evaluation)
 
 
 @pytest.mark.parametrize("command", ["quality", "train-probe"])
 def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
     exact = ["fractions"] if command == "quality" else []  # quality's exact MSE and L2RAT
-    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command]) == (0, ["numpy"] + exact)
+    assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command])[:2] == (0, ["numpy"] + exact)
+
+
+def test_diverging_train_probe_ends_in_one_error_line(inputs, tmp_path):
+    # the step 2 * 1e308 overflows; numpy's warnings would print source lines
+    argv = commands(inputs, tmp_path)["train-probe"] + ["--learning-rate", "1e308"]
+    code, _, err = run_fresh(tmp_path, *argv)
+    assert code == 2
+    assert err.splitlines()[1:] == ["ERROR model parameters must be finite"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_preprocess_imports_no_scipy(inputs, tmp_path, jobs):
     argv = commands(inputs, tmp_path)["preprocess"] + ["--jobs", jobs]
     # the process pool's concurrent.futures imports logging itself
-    assert run_fresh(tmp_path, *argv) == (0, ["numpy"] + ["logging"] * (jobs > 1))
+    assert run_fresh(tmp_path, *argv)[:2] == (0, ["numpy"] + ["logging"] * (jobs > 1))
 
 
 def private_reads(source: str) -> list[tuple[int, str]]:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -590,6 +592,21 @@ class TestTraining:
         cfg = TrainConfig(seed=0, iterations=105, eval_interval=50)
         _, curve = train_probe(X, y, X, y, cfg)
         assert [p.iteration for p in curve] == [50, 100, 105]
+
+    def test_curve_points_hold_python_floats(self, rng):
+        # a numpy scalar would print as np.float64(1.0) in the CLI's final-point line
+        X, y = make_blobs(rng, n=20)
+        _, curve = train_probe(X, y, X, y, TrainConfig(seed=0, iterations=3))
+        assert {type(v) for p in curve for v in astuple(p)[1:]} == {float}
+
+    def test_diverging_run_is_refused_without_a_warning(self, rng):
+        # the step 2 * 1e308 is inf, so theta turns inf and nan; the check
+        # on the finished model is the one report
+        X, y = make_blobs(rng, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^model parameters must be finite$"):
+                train_probe(X, y, X, y, TrainConfig(seed=0, learning_rate=1e308, iterations=3))
 
     def test_rejects_empty_train_set(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,29 @@ class TestDecode:
         with pytest.raises(NetpbmError, match="width token of 5000 digits"):
             decode_netpbm(b"P6 " + b"9" * 5000 + b" 1 255\n")
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P6 1 1 # comment", "unexpected end of header (byte offset 16)"),
+        (b"P6 1 #\r", "unexpected end of header (byte offset 7)"),
+        (b"P6\n#", "unexpected end of header (byte offset 4)"),
+        (b"P6 x1 1 255\n", "invalid width token b'x1' (byte offset 3)"),
+        (b"P6 1 -1 255\n", "invalid height token b'-1' (byte offset 5)"),
+        (b"P6 1 1\n#c\n2#55\n", "invalid maxval token b'2#55' (byte offset 10)"),
+        (b"P6 " + b"9" * 5000 + b" 1 255\n", "width token of 5000 digits (byte offset 3)"),
+        (b"P6 1\t" + b"9" * 4301 + b" 255\n", "height token of 4301 digits (byte offset 5)"),
+        (b"P6 1 1 " + b"2" * 4400 + b"\n", "maxval token of 4400 digits (byte offset 7)"),
+        (b"P6 0 1 255\n", "bad dimensions 0x1 (byte offset 10)"),
+        (b"P5 2 00 255 \x00", "bad dimensions 2x0 (byte offset 11)"),
+        (b"P5 1 1 65535\n\x00\x00", "unsupported maxval 65535 (byte offset 12)"),
+        (b"P5 1 1 #c\n0\n\x00", "unsupported maxval 0 (byte offset 11)"),
+        (b"P6 1 1 255", "missing whitespace before payload (byte offset 10)"),
+    ])
+    def test_header_error_names_its_offset(self, data, message):
+        for buffer in (data, memoryview(data)):
+            with pytest.raises(NetpbmError) as raised:
+                decode_netpbm(buffer)
+            assert str(raised.value) == message
+            assert raised.value.offset == int(message.rsplit(" ", 1)[1][:-1])
+
     @given(st.one_of(
         st.binary(),
         st.lists(st.sampled_from([b"P5", b"P6", b" ", b"\n", b"\r", b"#", b"0", b"1", b"2",

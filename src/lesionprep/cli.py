@@ -43,12 +43,12 @@ def positive_int(text: str) -> int:
 
 
 def _read(path, parse):
-    """``parse(Path(path))``. An OSError or ValueError from reading or parsing
-    the file becomes a ValueError that names it."""
+    """``parse(Path(path))``. An OSError, ValueError or MemoryError from
+    reading or parsing the file becomes a ValueError that names it."""
     try:
         return parse(Path(path))
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, MemoryError) as exc:
+        raise ValueError(f"{path}: {str(exc) or 'out of memory'}") from exc
 
 
 def _write_text(path, text: str) -> None:
@@ -208,34 +208,6 @@ def _features_for(files):
     return np.array(X), np.array(y, dtype=np.int64)
 
 
-def _render_curve_svg(curve) -> str:
-    """Minimal SVG line rendering of the accuracy and loss curves."""
-    w, h = 640, 400
-    max_it = max(p.iteration for p in curve) or 1
-    max_loss = max(
-        [p.train_cross_entropy for p in curve]
-        + [p.val_cross_entropy for p in curve if p.val_cross_entropy == p.val_cross_entropy]
-    ) or 1.0
-
-    def poly(values, scale, color):
-        pts = " ".join(
-            f"{10 + 620 * p.iteration / max_it:.1f},{h - 10 - 380 * v / scale:.1f}"
-            for p, v in zip(curve, values)
-            if v == v
-        )
-        return f'<polyline fill="none" stroke="{color}" points="{pts}"/>'
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
-        poly([p.train_accuracy for p in curve], 1.0, "blue"),
-        poly([p.val_accuracy for p in curve], 1.0, "green"),
-        poly([p.train_cross_entropy for p in curve], max_loss, "red"),
-        poly([p.val_cross_entropy for p in curve], max_loss, "orange"),
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
-
-
 def cmd_train_probe(args) -> int:
     from . import probe
 
@@ -250,8 +222,6 @@ def cmd_train_probe(args) -> int:
     model, curve = probe.train_probe(X_train, y_train, X_val, y_val, config)
     _write_text(args.model_out, probe.format_model(model))
     _write_text(args.curve_out, probe.format_curve(curve))
-    if args.render_svg:
-        _write_text(args.render_svg, _render_curve_svg(curve))
     print(f"INFO final point: {curve[-1]}", file=sys.stderr)
     return 0
 
@@ -339,7 +309,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--curve-out", required=True)
-    p.add_argument("--render-svg", default=None)
     p.set_defaults(func=cmd_train_probe)
 
     p = sub.add_parser("eval", help="metrics from a prediction log")

@@ -68,8 +68,8 @@ class PreprocessConfig:
         for name in ("sharpen_sigma", "sharpen_amount"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sharpen_sigma <= 0:
-            raise ValueError("sharpen_sigma must be > 0")
+        if self.sharpen_sigma <= 0 or 2 * self.sharpen_sigma * self.sharpen_sigma == 0:  # each tap divides by it
+            raise ValueError(f"sharpen_sigma must be > 0 with 2 * sharpen_sigma**2 > 0, got {self.sharpen_sigma}")
         if self.sharpen_amount < 0 or self.sharpen_threshold < 0:
             raise ValueError("sharpen amount/threshold must be >= 0")
         for name in ("se_length", "median_window"):
@@ -152,7 +152,8 @@ def _sharpen_table(amount: float, threshold: float) -> np.ndarray:
     the threshold, else the source value."""
     src = np.tile(np.arange(256.0), 256)
     detail = src - np.repeat(np.arange(256.0), 256)
-    boosted = np.clip(np.floor(detail * amount + src + 0.5), 0, 255)
+    with np.errstate(over="ignore"):  # an amount near the float maximum gives +-inf, which clips
+        boosted = np.clip(np.floor(detail * amount + src + 0.5), 0, 255)
     table = np.where(np.abs(detail) > threshold, boosted, src).astype(np.uint8)
     table.setflags(write=False)
     return table
@@ -161,11 +162,17 @@ def _sharpen_table(amount: float, threshold: float) -> np.ndarray:
 def unsharp_mask(image: Image, config: PreprocessConfig = PreprocessConfig()) -> Image:
     """Sharpen: out = in + amount * (in - blur(in)), where the detail signal
     exceeds the threshold; per channel, clamped to [0, 255]. An amount of 0
-    returns the image without blurring it. Block by block, the blur is
-    rounded to 8 bits and each output value looked up in ``_sharpen_table``.
+    returns the image without blurring it. A blur radius ceil(3 sigma) beyond
+    both the image's larger side and 224 px, the side of the paper's images,
+    is refused before any tap is built: such a kernel only repeats edge
+    pixels, while the blur's buffers grow with the square of its radius.
+    Block by block, the blur is rounded to 8 bits and each output value
+    looked up in ``_sharpen_table``.
     """
     if config.sharpen_amount == 0:
         return image
+    if 3 * config.sharpen_sigma > (limit := max(image.height, image.width, 224)):
+        raise ValueError(f"sharpen_sigma {config.sharpen_sigma} needs a blur radius over {limit} px")
     src = image.pixels
     table = _sharpen_table(config.sharpen_amount, config.sharpen_threshold)
     out = np.empty_like(src)
@@ -191,11 +198,14 @@ def _close(values: np.ndarray, length: int, orientation: int) -> np.ndarray:
     line is a fixed number of elements, doubles its windows' span (van
     Herk-style) until a last shift brings it to ``length``. A pass is one
     ufunc call from one buffer into the other, on a shrinking view; numpy
-    runs an in-place call with overlapping operands without SIMD."""
+    runs an in-place call with overlapping operands without SIMD. A length
+    beyond 2 max(h, w) - 1, whose line spans the image from any pixel, acts
+    as that length."""
     if length < 3 or length % 2 == 0:
         raise ValueError("SE length must be odd and >= 3")
-    half = length // 2
     h, w = values.shape[-2:]
+    length = min(length, max(3, 2 * max(h, w) - 1))
+    half = length // 2
     dy, dx = _DIRECTIONS[orientation]
     if dy < 0:  # the same line, walked the other way
         dy, dx = -dy, -dx
@@ -306,7 +316,8 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     orientation where the masked run through it is shortest.
 
     Endpoint samples sit interp_margin pixels beyond the run ends, but at
-    least 1 (a margin of 0 acts as 1), walking further if still masked. The
+    least 1 (a margin of 0 acts as 1) and at most max(h, w), beyond which
+    every walk leaves the image, walking further if still masked. The
     orientation is picked per pixel: one with samples on both sides wins over
     one with a single side, then the shorter run wins, then the earlier of
     ORIENTATIONS. A pixel with two sides gets the distance-weighted mean of
@@ -325,7 +336,7 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     if len(ys) == 0:
         return image
     h, w = bits.shape
-    margin = max(config.interp_margin, 1)
+    margin = min(max(config.interp_margin, 1), max(h, w))
     pixels = ys * w + xs
     best = None
     for orientation in ORIENTATIONS:
@@ -396,14 +407,16 @@ def smooth_inpainted(image: Image, mask: HairMask, config: PreprocessConfig = Pr
     Each masked pixel takes the per-channel lower median of the in-image
     pixels of its window: element (count - 1) // 2 of the sorted values, an
     integer for any count, so clipped even-count windows stay deterministic.
+    A window beyond 2 max(h, w) - 1, which covers the image from any pixel,
+    acts as that window.
     """
     _check_shape(image, mask)
     ys, xs = np.nonzero(mask.bits)
     if len(ys) == 0:
         return image
-    win = config.median_window
-    half = win // 2
     h, w = mask.bits.shape
+    win = min(config.median_window, max(3, 2 * max(h, w) - 1))
+    half = win // 2
     src = image.pixels
     # -1 marks out-of-image window cells and sorts below every pixel value
     padded = np.pad(src.astype(np.int16), ((half, half), (half, half), (0, 0)), constant_values=-1)

@@ -80,6 +80,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if 2 * self.learning_rate == math.inf:  # each step moves by 2 * learning_rate
+            raise ValueError(f"2 * learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1 or self.iterations < 1 or self.eval_interval < 1:
             raise ValueError("batch_size, iterations, eval_interval must be >= 1")
 

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import types
-import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,19 +72,6 @@ def snapshot(root):
 
 # metrics a hand-edited report.json might carry; `report` must not print them
 STALE_METRICS = dict.fromkeys(["accuracy", "sensitivity", "specificity", "precision", "f1"], 1.0)
-
-
-def svg_polylines(path):
-    """The point lists of the curve SVG's polylines, each point checked to lie
-    inside the 640x400 frame."""
-    root = ET.parse(path).getroot()
-    assert (root.get("width"), root.get("height")) == ("640", "400")
-    lines = []
-    for poly in root.iter("{http://www.w3.org/2000/svg}polyline"):
-        pts = [tuple(map(float, p.split(","))) for p in poly.get("points").split()]
-        assert all(0 <= x <= 640 and 0 <= y <= 400 for x, y in pts)
-        lines.append(pts)
-    return lines
 
 
 def write_log(path, tp, fp, fn, tn):
@@ -251,6 +237,23 @@ class TestPreprocess:
                    "--out-root", tmp_path / "out", "--jobs", 1) == 2
         message = error_message(capsys.readouterr().err)
         assert str(tmp_path / "a.ppm") in message and "pipeline exploded" in message
+
+    @pytest.mark.parametrize("error, reason", [
+        (MemoryError("Unable to allocate 18.1 GiB"), "Unable to allocate 18.1 GiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_out_of_memory_in_a_stage_is_a_data_error(self, tmp_path, capsys, monkeypatch, error, reason):
+        write_image(tmp_path / "a.ppm", seed=1, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\na.ppm,benign,train\n")
+
+        def fail(image, mask, config):
+            raise error
+
+        monkeypatch.setattr(preprocess, "smooth_inpainted", fail)
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
+                   "--out-root", tmp_path / "out") == 2
+        assert error_message(capsys.readouterr().err) == f"{tmp_path / 'a.ppm'}: {reason}"
 
     def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
         write_image(tmp_path / "a.ppm", seed=1, bright=True)
@@ -530,35 +533,43 @@ class TestTrainProbe:
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
         model_out = tmp_path / "model.txt"
         curve_out = tmp_path / "curve.csv"
-        svg_out = tmp_path / "curve.svg"
         assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
                    "--iterations", 300, "--eval-interval", 100, "--seed", 9,
-                   "--model-out", model_out, "--curve-out", curve_out,
-                   "--render-svg", svg_out) == 0
-        assert model_out.exists()
+                   "--model-out", model_out, "--curve-out", curve_out) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "data", "m.csv", "model.txt"]
         lines = curve_out.read_text().splitlines()
         assert lines[0] == "iter,train_acc,val_acc,train_xent,val_xent"
-        assert lines[-1].startswith("300,")
+        # accuracy and loss, train and val, each sampled at iterations 100, 200 and 300
+        assert [line.split(",")[0] for line in lines[1:]] == ["100", "200", "300"]
         # bright-vs-dark classes are trivially separable
         assert float(lines[-1].split(",")[1]) == 1.0
-        # accuracy and loss, train and val, each sampled at iterations 100, 200 and 300
-        assert [len(pts) for pts in svg_polylines(svg_out)] == [3] * 4
 
-    def test_svg_without_val_entries(self, dataset_root, tmp_path):
+    def test_curve_without_val_entries(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
         paths = sorted(p.relative_to(dataset_root).as_posix()
                        for p in (dataset_root / "train").rglob("*.ppm"))
         manifest.write_text("path,label,split\n" + "".join(
             f"{p},{p.split('/')[1]},train\n" for p in paths))
-        svg_out = tmp_path / "curve.svg"
+        curve_out = tmp_path / "curve.csv"
         assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
                    "--iterations", 200, "--eval-interval", 100, "--seed", 9,
-                   "--model-out", tmp_path / "model.txt", "--curve-out", tmp_path / "curve.csv",
-                   "--render-svg", svg_out) == 0
-        assert "nan" not in svg_out.read_text()
-        train_acc, val_acc, train_xent, val_xent = svg_polylines(svg_out)
-        assert val_acc == [] and val_xent == []
-        assert len(train_acc) == len(train_xent) == 2
+                   "--model-out", tmp_path / "model.txt", "--curve-out", curve_out) == 0
+        rows = list(csv.DictReader(curve_out.open()))
+        assert [row["iter"] for row in rows] == ["100", "200"]
+        for row in rows:
+            assert row["val_acc"] == row["val_xent"] == "nan"
+            assert math.isfinite(float(row["train_acc"])) and math.isfinite(float(row["train_xent"]))
+
+    def test_render_svg_is_a_usage_error(self, dataset_root, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
+        with pytest.raises(SystemExit) as exc:
+            run("train-probe", "--manifest", manifest, "--images-root", dataset_root, "--seed", 9,
+                "--model-out", tmp_path / "model.txt", "--curve-out", tmp_path / "curve.csv",
+                "--render-svg", tmp_path / "curve.svg")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --render-svg" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "m.csv"]
 
     def test_rerun_byte_identical(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -649,15 +660,18 @@ class TestConfigFlags:
                    "--curve-out", tmp_path / "curve.csv", *flags) == 0
         assert f"INFO train config: {expected}" in capsys.readouterr().err.splitlines()
 
-    @pytest.mark.parametrize("command, flag, message", [
-        ("preprocess", "--sharpen-sigma", "sharpen_sigma must be finite"),
-        ("preprocess", "--sharpen-amount", "sharpen_amount must be finite"),
-        ("preprocess", "--max-thinness", "max_thinness must be in (0, 1]"),
-        ("train-probe", "--learning-rate", "learning_rate must be finite and > 0"),
+    @pytest.mark.parametrize("value, command, flag, message", [
+        *((value, *row) for value in ["nan", "inf", "-inf"] for row in [
+            ("preprocess", "--sharpen-sigma", "sharpen_sigma must be finite"),
+            ("preprocess", "--sharpen-amount", "sharpen_amount must be finite"),
+            ("preprocess", "--max-thinness", "max_thinness must be in (0, 1]"),
+            ("train-probe", "--learning-rate", "learning_rate must be finite and > 0"),
+        ]),
+        # each step moves by 2 * learning_rate, which is inf
+        ("1e308", "train-probe", "--learning-rate", "2 * learning_rate must be finite"),
     ])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_2_before_any_image(self, dataset_root, tmp_path, monkeypatch, capsys,
-                                                       command, flag, message, value):
+                                                       value, command, flag, message):
         manifest = tmp_path / "m.csv"
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
 

@@ -11,7 +11,9 @@ Every subcommand runs in a fresh interpreter on real inputs and must exit 0,
 so an import that fails cannot pass by ending the command early. Each run
 also keeps the stderr contract: every line starts with ``INFO ``, ``WARNING ``
 or ``ERROR ``, and none holds a numpy repr such as ``np.float64(1.0)``. A
-diverging ``train-probe`` runs too, and must exit 2 on its one ``ERROR`` line.
+``train-probe`` whose step would overflow runs too, and must exit 2 on its one
+``ERROR`` line; so do ``preprocess`` runs with oversized flag values under a
+2 GiB address-space cap, which must end in output or in exit 2.
 
 No module of the package reads a private attribute (``x._name``, dunders
 excepted) of anything but ``self`` or ``cls``: what one module needs of
@@ -33,7 +35,9 @@ import pytest
 
 import lesionprep
 from lesionprep.cli import main
+from lesionprep.raster import Image, encode_netpbm
 from test_cli import write_image, write_log
+from test_preprocess import hairy_scene
 
 SRC = Path(lesionprep.__file__).parents[1]
 
@@ -49,15 +53,18 @@ with open(sys.argv[1], "w") as f:
 """
 
 
-def run_fresh(tmp_path, *argv):
+def run_fresh(tmp_path, *argv, address_space=None):
     """Runs ``lesionprep.cli.main(argv)`` in a new interpreter and checks that
     its stderr keeps the contract; returns its exit code, which of numpy,
     numpy.random, scipy, lesionprep.evaluation, fractions and logging it left
-    in ``sys.modules``, and its stderr."""
+    in ``sys.modules``, and its stderr. Given ``address_space``, the child
+    first caps its own address space at that many bytes."""
     result = tmp_path / "guard.json"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    cap = "" if address_space is None else (
+        f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n")
     err = subprocess.run(
-        [sys.executable, "-c", GUARD, str(result), *map(str, argv)],
+        [sys.executable, "-c", cap + GUARD, str(result), *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, check=True, timeout=120,
         capture_output=True, text=True,
     ).stderr
@@ -126,12 +133,39 @@ def test_numpy_subcommands_import_no_scipy(inputs, tmp_path, command):
     assert run_fresh(tmp_path, *commands(inputs, tmp_path)[command])[:2] == (0, ["numpy"] + exact)
 
 
-def test_diverging_train_probe_ends_in_one_error_line(inputs, tmp_path):
-    # the step 2 * 1e308 overflows; numpy's warnings would print source lines
+def test_overflowing_learning_rate_ends_in_one_error_line(inputs, tmp_path):
+    # the step 2 * 1e308 would be inf; it is refused before any image is read
     argv = commands(inputs, tmp_path)["train-probe"] + ["--learning-rate", "1e308"]
     code, _, err = run_fresh(tmp_path, *argv)
-    assert code == 2
-    assert err.splitlines()[1:] == ["ERROR model parameters must be finite"]
+    assert (code, err.splitlines()) == (2, ["ERROR 2 * learning_rate must be finite, got 1e+308"])
+
+
+@pytest.fixture(scope="module")
+def hairy_crop(tmp_path_factory):
+    """A manifest of one 32x32 crop of a hairy scene, 811 pixels of it masked
+    at the default config."""
+    d = tmp_path_factory.mktemp("crop")
+    (d / "h.ppm").write_bytes(encode_netpbm(Image(hairy_scene(0)[0].pixels[96:128, 96:128].copy())))
+    (d / "m.csv").write_text("path,label,split\nh.ppm,benign,train\n")
+    return d
+
+
+@pytest.mark.parametrize("flag, value, code", [
+    # windows, SE lines and walks that cover the image act as the covering value
+    ("--se-length", "20001", 0),
+    ("--se-length", "100000000000000000001", 0),
+    ("--median-window", "2001", 0),
+    ("--median-window", "100000000000000000001", 0),
+    ("--interp-margin", "100000000000000000000", 0),
+    ("--sharpen-amount", "1e308", 0),
+    # 2 * sigma**2 underflows to 0; a blur radius of 3000 px, beyond 224 px
+    ("--sharpen-sigma", "1e-300", 2),
+    ("--sharpen-sigma", "1000", 2),
+])
+def test_oversized_preprocess_flag_ends_in_output_or_exit_2(hairy_crop, tmp_path, flag, value, code):
+    argv = ["preprocess", "--manifest", hairy_crop / "m.csv", "--images-root", hairy_crop,
+            "--out-root", tmp_path / "pre", flag, value]
+    assert run_fresh(tmp_path, *argv, address_space=2 << 30)[0] == code
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

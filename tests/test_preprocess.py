@@ -1,7 +1,10 @@
+import dataclasses
 import importlib.util
 import math
+import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,10 +236,10 @@ def u8_arrays(*trailing):
 
 
 @st.composite
-def masked_images(draw):
+def masked_images(draw, max_side=30):
     """uint8 RGB pixels and a mask of any density, all-clear and all-masked
-    included; sides are 1-30 px, so masks often touch the borders."""
-    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    included; sides are 1 to ``max_side`` px, so masks often touch the borders."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     pixels = draw(hnp.arrays(np.uint8, (h, w, 3)))
     density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -458,6 +461,22 @@ class TestUnsharpMask:
         got = unsharp_mask(Image(pixels), cfg).pixels
         assert np.array_equal(got, unsharp_oracle(pixels, cfg))
 
+    @pytest.mark.parametrize("shape, sigma, refused", [
+        ((1, 1), 74.0, False), ((1, 1), 75.0, True), ((1, 1), 1e300, True),
+        ((228, 1), 76.0, False), ((1, 228), math.nextafter(76.0, 77.0), True),
+    ])
+    def test_refuses_a_radius_beyond_the_larger_side_and_224_px(self, rng, shape, sigma, refused):
+        img = Image(rng.integers(0, 256, size=shape + (3,), dtype=np.uint8))
+        cfg = PreprocessConfig(sharpen_sigma=sigma)
+        if refused:
+            message = f"sharpen_sigma {sigma} needs a blur radius over {max(shape + (224,))} px"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                unsharp_mask(img, cfg)
+        else:
+            assert np.array_equal(unsharp_mask(img, cfg).pixels, unsharp_oracle(img.pixels, cfg))
+        # without sharpening there is no blur to refuse
+        assert unsharp_mask(img, dataclasses.replace(cfg, sharpen_amount=0)) is img
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 30), (30, 1), (24, 2), (5, 300), (16, 16)])
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
     def test_every_block_height_matches_the_oracle(self, monkeypatch, rng, shape, sigma):
@@ -485,6 +504,12 @@ class TestSharpenTable:
     def test_is_built_once_per_amount_and_threshold(self):
         assert _sharpen_table(0.8, 0) is _sharpen_table(0.8, 0)
         assert not _sharpen_table(0.8, 0).flags.writeable
+
+    def test_an_amount_near_the_float_maximum_clips_without_a_warning(self):
+        # detail * 1e308 overflows to +-inf; any amount from 256 on sends every detail to 0 or 255
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_sharpen_table(1e308, 0), _sharpen_table(256.0, 0))
 
 
 # ---------------------------------------------------------------- closing
@@ -795,6 +820,30 @@ class TestSmoothInpainted:
         assert np.array_equal(got.pixels, smooth_oracle(pixels, bits, cfg))
 
 
+# ---------------------------------------------------------------- oversized windows
+
+class TestOversizedValues:
+    """An SE line or median window of 2 max(h, w) - 1 (at least 3) covers the
+    image from any pixel, and a walk of max(h, w) leaves it; any larger value
+    gives the same bytes as that covering value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_images(16), st.integers(0, 10**21))
+    @example((np.zeros((1, 1, 3), np.uint8), np.ones((1, 1), bool)), 10**20)
+    def test_acts_as_the_covering_value(self, case, extra):
+        pixels, bits = case
+        image, mask = Image(pixels), HairMask(bits)
+        side = max(bits.shape)
+        window = max(3, 2 * side - 1)
+        for stage, field, covering, oversized in [
+            (lambda cfg: detect_hair_mask(image, cfg), "se_length", window, window + 2 * extra),
+            (lambda cfg: inpaint_hair(image, mask, cfg), "interp_margin", side, side + extra),
+            (lambda cfg: smooth_inpainted(image, mask, cfg), "median_window", window, window + 2 * extra),
+        ]:
+            want = stage(PreprocessConfig(**{field: covering}))
+            assert stage(PreprocessConfig(**{field: oversized})) == want, field
+
+
 # ---------------------------------------------------------------- allocation
 
 class TestAllocationBudget:
@@ -872,6 +921,20 @@ def test_config_validation():
         PreprocessConfig(max_thinness=0.0)
     with pytest.raises(ValueError):
         PreprocessConfig(sharpen_sigma=-1.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 7e-163, 0.0, -1.0])
+def test_config_refuses_a_sigma_whose_kernel_divisor_is_0(sigma):
+    # each tap divides by 2 * sigma**2, which underflows to 0 below about 1.11e-162
+    message = f"sharpen_sigma must be > 0 with 2 * sharpen_sigma**2 > 0, got {sigma}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PreprocessConfig(sharpen_sigma=sigma)
+
+
+def test_the_smallest_sigmas_blur_to_the_image_itself(rng):
+    img = Image(rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8))
+    for sigma in (1.5e-162, 1e-161):
+        assert unsharp_mask(img, PreprocessConfig(sharpen_sigma=sigma)) == img
 
 
 @pytest.mark.parametrize("field, message", [("sharpen_sigma", "must be finite"),

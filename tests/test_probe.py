@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
@@ -600,13 +601,13 @@ class TestTraining:
         assert {type(v) for p in curve for v in astuple(p)[1:]} == {float}
 
     def test_diverging_run_is_refused_without_a_warning(self, rng):
-        # the step 2 * 1e308 is inf, so theta turns inf and nan; the check
-        # on the finished model is the one report
+        # features near 1e10 make a step of 2e300 times the gradient inf, so
+        # theta turns inf and nan; the check on the finished model is the one report
         X, y = make_blobs(rng, n=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^model parameters must be finite$"):
-                train_probe(X, y, X, y, TrainConfig(seed=0, learning_rate=1e308, iterations=3))
+                train_probe(X * 1e10, y, X, y, TrainConfig(seed=0, learning_rate=1e300, iterations=3))
 
     def test_rejects_empty_train_set(self):
         with pytest.raises(ValueError):
@@ -667,6 +668,14 @@ class TestTrainConfig:
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match=rf"^learning_rate must be finite and > 0, got {rate}$"):
             TrainConfig(seed=0, learning_rate=rate)
+
+    def test_learning_rate_must_double_to_a_finite_step(self):
+        below = math.nextafter(2.0**1023, 0)  # the largest rate whose step 2 * rate is finite
+        assert TrainConfig(seed=0, learning_rate=below).learning_rate == below
+        for rate in (2.0**1023, 1e308):
+            message = f"2 * learning_rate must be finite, got {rate}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrainConfig(seed=0, learning_rate=rate)
 
 
 class TestTrainingInputChecks:

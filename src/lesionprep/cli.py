@@ -181,7 +181,7 @@ def cmd_quality(args) -> int:
                 raise ValueError(f"missing preprocessed counterpart {pre}")
             yield e.path, _read(src, _load_image), _read(pre, _load_image)
 
-    _write_text(args.out, quality.format_quality_report(quality.quality_report(pairs())))
+    _write_text(args.out, quality.format_quality_report([quality.quality_row(*pair) for pair in pairs()]))
     return 0
 
 
@@ -326,6 +326,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # no module calls BLAS: one OpenBLAS thread, unless the user set a count
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

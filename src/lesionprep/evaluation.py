@@ -109,10 +109,9 @@ def parse_prediction_log(data: bytes | str) -> list[PredictionRecord]:
     records = []
     seen: dict[str, int] = {}
     for lineno, (case_id, predicted, confidence, truth) in rows:
-        if predicted not in LABELS:
-            raise ValueError(f"line {lineno}: unknown label {predicted!r}")
-        if truth not in LABELS:
-            raise ValueError(f"line {lineno}: unknown label {truth!r}")
+        for label in (predicted, truth):
+            if label not in LABELS:
+                raise ValueError(f"line {lineno}: unknown label {label!r}")
         if case_id in seen:
             raise ValueError(
                 f"duplicate case_id {case_id!r} on lines {seen[case_id]} and {lineno}"

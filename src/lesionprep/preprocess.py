@@ -87,10 +87,11 @@ class PreprocessConfig:
 def _gaussian_kernel(sigma: float) -> np.ndarray:
     """Gaussian taps out to 3 sigma, normalised to sum to 1. Each tap is one
     ``math.exp``, as in the probe, so the taps do not depend on which SIMD
-    kernels numpy's ``np.exp`` dispatches to."""
+    kernels numpy's ``np.exp`` dispatches to, and they are divided by their
+    correctly rounded ``math.fsum``, not by numpy's pairwise float sum."""
     radius = math.ceil(3 * sigma)
     k = np.array([math.exp(-(x * x) / (2 * sigma * sigma)) for x in range(-radius, radius + 1)])
-    return k / k.sum()
+    return k / math.fsum(k)
 
 
 _BLOCK_FLOATS = 15_000  # float64 elements per buffer of a row block; below glibc's 128 KiB mmap threshold
@@ -401,6 +402,9 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     return Image(out.reshape(image.pixels.shape))
 
 
+_SMOOTH_BYTES = 8 << 20  # int16 window bytes sorted at once; the default 5x5 windows of a 224² frame fit
+
+
 def smooth_inpainted(image: Image, mask: HairMask, config: PreprocessConfig = PreprocessConfig()) -> Image:
     """Median-filter the masked region only; the window clips at borders.
 
@@ -408,7 +412,8 @@ def smooth_inpainted(image: Image, mask: HairMask, config: PreprocessConfig = Pr
     pixels of its window: element (count - 1) // 2 of the sorted values, an
     integer for any count, so clipped even-count windows stay deterministic.
     A window beyond 2 max(h, w) - 1, which covers the image from any pixel,
-    acts as that window.
+    acts as that window. The windows are sorted in chunks of masked pixels
+    holding at most ``_SMOOTH_BYTES``, or of one pixel whose windows hold more.
     """
     _check_shape(image, mask)
     ys, xs = np.nonzero(mask.bits)
@@ -420,13 +425,18 @@ def smooth_inpainted(image: Image, mask: HairMask, config: PreprocessConfig = Pr
     src = image.pixels
     # -1 marks out-of-image window cells and sorts below every pixel value
     padded = np.pad(src.astype(np.int16), ((half, half), (half, half), (0, 0)), constant_values=-1)
-    windows = sliding_window_view(padded, (win, win), axis=(0, 1))[ys, xs]
-    ordered = np.sort(windows.reshape(len(ys), 3, win * win), axis=-1)
+    view = sliding_window_view(padded, (win, win), axis=(0, 1))
     count = ((np.minimum(ys + half, h - 1) - np.maximum(ys - half, 0) + 1)
              * (np.minimum(xs + half, w - 1) - np.maximum(xs - half, 0) + 1))
     rank = (win * win - count) + (count - 1) // 2
     out = src.copy()
-    out[ys, xs] = np.take_along_axis(ordered, rank[:, None, None], axis=-1)[..., 0]
+    step = max(1, _SMOOTH_BYTES // (3 * win * win * padded.itemsize))
+    for lo in range(0, len(ys), step):
+        y, x = ys[lo:lo + step], xs[lo:lo + step]
+        windows = view[y, x].reshape(len(y), 3, win * win)
+        windows.sort(axis=-1)
+        out[y, x] = np.take_along_axis(windows, rank[lo:lo + step, None, None], axis=-1)[..., 0]
+        del windows  # freed before the next chunk is gathered
     return Image(out)
 
 

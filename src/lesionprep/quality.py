@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,18 +44,20 @@ def _sum_squares(v: np.ndarray) -> int:
 
 
 def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayImage) -> QualityRow:
-    """The four metrics of a pair of images of the same kind and size."""
+    """The four metrics of a pair of images of the same kind and size; each
+    error starts with ``pair '<image_id>': ``."""
+    pair = f"pair {image_id!r}"
     if type(reference) is not type(test):
-        raise ValueError(f"kind mismatch: {type(reference).__name__} vs {type(test).__name__}")
+        raise ValueError(f"{pair}: kind mismatch: {type(reference).__name__} vs {type(test).__name__}")
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
-            f"dimension mismatch: {reference.width}x{reference.height} vs "
+            f"{pair}: dimension mismatch: {reference.width}x{reference.height} vs "
             f"{test.width}x{test.height}"
         )
     ref, t = reference.pixels.ravel(), test.pixels.ravel()
     denom = _sum_squares(ref)
     if denom == 0:
-        raise ValueError("l2rat undefined for an all-zero reference")
+        raise ValueError(f"{pair}: l2rat undefined for an all-zero reference")
     d = np.maximum(ref, t)
     d -= np.minimum(ref, t)
     s = _sum_squares(d)
@@ -70,20 +72,6 @@ def quality_row(image_id: str, reference: Image | GrayImage, test: Image | GrayI
         width=reference.width,
         height=reference.height,
     )
-
-
-def quality_report(pairs: Iterable[tuple[str, Image | GrayImage, Image | GrayImage]]) -> list[QualityRow]:
-    """One QualityRow per (id, reference, test) pair, in input order.
-
-    The first failing pair aborts the report with its id in the error.
-    """
-    rows = []
-    for image_id, reference, test in pairs:
-        try:
-            rows.append(quality_row(image_id, reference, test))
-        except ValueError as exc:
-            raise ValueError(f"pair {image_id!r}: {exc}") from exc
-    return rows
 
 
 def _fmt(value: Fraction | Decimal) -> str:

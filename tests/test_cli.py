@@ -352,6 +352,28 @@ class TestQuality:
         assert [len(row) for row in rows] == [7] * 17
         assert 'train/benign/a,"b".ppm' in [row[0] for row in rows]
 
+    def test_size_mismatched_pair_names_it(self, dataset_root, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\ntrain/benign/b0.ppm,benign,train\ntrain/benign/b1.ppm,benign,train\n")
+        pre_root = tmp_path / "pre"
+        for name, side in (("b0", 32), ("b1", 16)):
+            target = pre_root / "train" / "benign" / f"{name}.pre.ppm"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(encode_netpbm(Image(np.zeros((side, side, 3), np.uint8))))
+        out = tmp_path / "q.csv"
+        assert run("quality", "--manifest", manifest, "--images-root", dataset_root,
+                   "--pre-root", pre_root, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "ERROR pair 'train/benign/b1.ppm': dimension mismatch: 32x32 vs 16x16\n"
+        assert not out.exists()
+
+    def test_empty_manifest_writes_the_header(self, tmp_path):
+        manifest, out = tmp_path / "m.csv", tmp_path / "q.csv"
+        manifest.write_text("path,label,split\n")
+        assert run("quality", "--manifest", manifest, "--images-root", tmp_path,
+                   "--pre-root", tmp_path / "pre", "--out", out) == 0
+        assert out.read_text() == "id,psnr_db,mse,maxerr,l2rat,width,height\n"
+
     def test_missing_counterpart_is_data_error(self, dataset_root, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\ntrain/benign/b0.ppm,benign,train\n")
@@ -820,12 +842,13 @@ def test_manifest_path_outside_the_root_is_refused(tmp_path, monkeypatch, capsys
     assert sorted(tmp_path.rglob("*")) == sorted([*before, tmp_path / "images", tmp_path / "pre"])
 
 
-def fresh(cwd, *args):
+def fresh(cwd, *args, **env):
     """``python args`` run in a new interpreter in ``cwd``, this package
-    first on its path, with stdout and stderr captured as bytes."""
+    first on its path, with stdout and stderr captured as bytes; ``env`` sets
+    variables, or unsets those given as None."""
     path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, timeout=120)
+    environ = {k: v for k, v in dict(os.environ, PYTHONPATH=path, **env).items() if v is not None}
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=environ, capture_output=True, timeout=120)
 
 
 def test_stderr_bytes_in_a_fresh_interpreter(dataset_root, tmp_path):
@@ -860,6 +883,29 @@ def test_main_leaves_the_root_logger_alone(tmp_path):
               "main(['report', 'gone.json'])\n"
               "print(root.handlers, logging.getLevelName(root.level))\n")
     assert fresh(tmp_path, "-c", script).stdout.decode().splitlines() == ["[] WARNING", "[] WARNING"]
+
+
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)], ids=["default", "user-set"])
+def test_a_numpy_step_runs_one_openblas_thread_unless_the_user_sets_more(dataset_root, tmp_path, setting, threads):
+    # quality on two identity pairs; the thread count is read after main returns
+    (tmp_path / "m.csv").write_text("path,label,split\ntrain/benign/b0.ppm,benign,train\n"
+                                    "train/benign/b1.ppm,benign,train\n")
+    for name in ("b0", "b1"):
+        pre = tmp_path / "pre" / "train" / "benign" / f"{name}.pre.ppm"
+        pre.parent.mkdir(parents=True, exist_ok=True)
+        pre.write_bytes((dataset_root / "train" / "benign" / f"{name}.ppm").read_bytes())
+    script = ("import ctypes, sys; from lesionprep.cli import main\n"
+              "code = main(['quality', '--manifest', 'm.csv', '--images-root', 'data', '--pre-root', 'pre',"
+              " '--out', 'q.csv'])\n"
+              f"sys.path.insert(0, {str(Path(__file__).parent)!r}); from test_golden import openblas_function\n"
+              "threads = openblas_function('get_num_threads', ctypes.c_int)\n"
+              "print(code, threads and threads())\n")
+    done = fresh(tmp_path, "-c", script, OPENBLAS_NUM_THREADS=setting)
+    assert done.returncode == 0, done.stderr.decode()
+    code, got = done.stdout.decode().split()
+    if got == "None":
+        pytest.skip("numpy's OpenBLAS is not among the process's mappings")
+    assert (code, int(got)) == ("0", threads)
 
 
 def test_verbose_is_an_unknown_flag():

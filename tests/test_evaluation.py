@@ -56,9 +56,15 @@ class TestParse:
         with pytest.raises(ValueError, match="lines 2 and 4"):
             parse_prediction_log(text)
 
-    def test_unknown_label(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_prediction_log("case_id,predicted,confidence,truth\n1,maligant,0.9,benign\n")
+    @pytest.mark.parametrize("row, label", [
+        ("1,maligant,0.9,benign", "maligant"),
+        ("1,benign,0.9,Benign", "Benign"),
+        ("1,what,0.9,nor", "what"),  # the predicted column is checked first
+    ], ids=["predicted", "truth", "both"])
+    def test_unknown_label(self, row, label):
+        with pytest.raises(ValueError) as exc:
+            parse_prediction_log(f"case_id,predicted,confidence,truth\n{row}\n")
+        assert str(exc.value) == f"line 2: unknown label {label!r}"
 
     def test_confidence_out_of_range(self):
         with pytest.raises(ValueError, match="out of"):

@@ -42,7 +42,7 @@ from lesionprep.cli import _load_image, _preprocess_one
 from lesionprep.dataset import ManifestEntry
 from lesionprep.preprocess import PreprocessConfig, _gaussian_kernel
 from lesionprep.probe import TrainConfig, extract_features, format_curve, format_model, train_probe
-from lesionprep.quality import format_quality_report, quality_report
+from lesionprep.quality import format_quality_report, quality_row
 from lesionprep.raster import decode_netpbm
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -58,8 +58,8 @@ CONFIGS = {
 # trained on the refined features, hairy as malignant, and scored on the raw
 # ones; 12 rows in batches of 5, so windows of the seeded permutation wrap
 TRAIN_CONFIG = TrainConfig(seed=1, batch_size=5, iterations=300, eval_interval=25)
-# 0.30, 0.31, ..., 3.00; np.exp taps differed with and without numpy's AVX-512
-# kernels at 55 of them on an AVX-512 host, though not at the default sigma 1.0
+# 0.30, 0.31, ..., 3.00; each tap is a math.exp divided by the taps' math.fsum,
+# so no numpy kernel enters them
 TAP_SIGMAS = [i / 100 for i in range(30, 301)]
 # (variable, value): numpy's AVX-512 kernels off, two OpenBLAS kernel sets, and
 # glibc's AVX2 and FMA variants off, libm's exp and log among them
@@ -101,25 +101,33 @@ def table() -> dict:
                 pairs[config].append((name, raw, refined))
     model, curve = train_probe(np.array(rows), np.array(labels), np.array(raws), np.array([1, 0]), TRAIN_CONFIG)
     out["probe"] = {"model": sha(format_model(model).encode()), "curve": sha(format_curve(curve).encode())}
-    out["quality"] = {config: sha(format_quality_report(quality_report(p)).encode()) for config, p in pairs.items()}
+    out["quality"] = {config: sha(format_quality_report([quality_row(*pair) for pair in p]).encode())
+                      for config, p in pairs.items()}
     out["gaussian_taps"] = sha(b"".join(_gaussian_kernel(sigma).tobytes() for sigma in TAP_SIGMAS))
     return out
 
 
-def openblas_core():
-    """The kernel set that numpy's OpenBLAS runs, or None where it cannot be
-    read: the library is found among this process's mappings."""
+def openblas_function(name: str, restype):
+    """numpy's OpenBLAS function ``openblas_<name>``, under the prefix and
+    suffix of its build, or None where it cannot be read: the library is found
+    among this process's mappings."""
     try:
         maps = Path("/proc/self/maps").read_text().splitlines()
     except OSError:
         return None
     for lib in sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1]}):
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
-            corename = getattr(ctypes.CDLL(lib), name, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}", f"openblas_{name}"):
+            function = getattr(ctypes.CDLL(lib), symbol, None)
+            if function is not None:
+                function.argtypes, function.restype = [], restype
+                return function
     return None
+
+
+def openblas_core():
+    """The kernel set that numpy's OpenBLAS runs, or None where it cannot be read."""
+    corename = openblas_function("get_corename", ctypes.c_char_p)
+    return None if corename is None else corename().decode()
 
 
 def numpy_has(feature: str) -> bool:

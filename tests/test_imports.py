@@ -22,6 +22,13 @@ resolves a path, so each entry's input and output paths are made, and two
 names are found to be one file, in one place. In the tests,
 scipy serves only as a reference: ``scipy`` and ``ndimage`` are used only
 inside functions named ``*_oracle``.
+
+Every float reduction and transcendental function that the package calls
+through numpy (``.sum``, ``.mean``, ``@``, ``np.add.reduce``, ``np.exp``,
+``np.log`` and the like) is on an allow-list with the reason its result
+cannot depend on numpy's version or SIMD kernels: integer operands, or an
+order fixed by definition. Elementwise arithmetic and ``np.sqrt`` are
+correctly rounded by IEEE 754 and need no entry.
 """
 
 import ast
@@ -240,3 +247,73 @@ def test_scipy_guard_sees_every_reference():
               "def footprint(a):\n    return scipy.ndimage.binary_dilation(a)\n")
     assert [functions_referencing(source, name) for name in ("scipy", "ndimage")] == [
         ["<module>", "footprint"], ["<module>", "pad", "blur_oracle", "footprint"]]
+
+
+# methods that reduce an array, on any object but the math module
+REDUCING_METHODS = {"sum", "mean", "prod", "std", "var", "dot", "cumsum", "cumprod", "trace"}
+# np.<name>: the reductions, and the functions that IEEE 754 leaves to the library
+NUMPY_FLOAT_CALLS = REDUCING_METHODS | {
+    "average", "median", "percentile", "quantile", "nansum", "nanmean", "bincount", "matmul", "vdot",
+    "inner", "einsum", "tensordot", "convolve", "correlate", "interp", "trapezoid", "polyval",
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "power", "float_power", "hypot",
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh",
+}
+# np.<ufunc>.<method>, and every function of np.linalg and np.fft
+UFUNC_METHODS = {"reduce", "accumulate", "reduceat", "outer"}
+INTEGERS = "integer operands"
+ORDERED = "ordered by definition: np.cumsum adds in index order"
+# (module, expression): why its result is fixed
+NUMPY_FLOAT_OPS_ALLOWED = {
+    ("preprocess.py", "self.bits.sum()"): INTEGERS,
+    ("preprocess.py", "np.bincount(root, minlength=len(root))"): INTEGERS,
+    ("preprocess.py", "np.cumsum(starts)"): INTEGERS,
+    ("probe.py", "np.bincount(block[c, inner].ravel(), minlength=256)"): INTEGERS,
+    ("probe.py", "np.cumsum(run, out=run)"): ORDERED,
+    ("probe.py", "counts @ _LEVELS"): INTEGERS,
+    ("probe.py", "counts @ (_LEVELS * _LEVELS)"): INTEGERS,
+    ("probe.py", "counts.reshape(3, 16, 16).sum(axis=2)"): INTEGERS,
+    ("probe.py", "np.cumsum(a, axis=0)"): ORDERED,
+    ("quality.py", "np.square(v, dtype=np.uint16).sum(dtype=np.uint64)"): INTEGERS,
+}
+
+
+def numpy_float_ops(source: str) -> list[str]:
+    """Each float reduction or transcendental call that ``source`` may make
+    through numpy, unparsed, in source order: an ``@``, a call of
+    ``np.<name>`` in NUMPY_FLOAT_CALLS, of ``np.<ufunc>.<method>`` in
+    UFUNC_METHODS or of np.linalg or np.fft, and a method call in
+    REDUCING_METHODS on anything but ``np`` or ``math``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            found.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, name = node.func.value, node.func.attr
+            if isinstance(owner, ast.Name) and owner.id in ("np", "numpy", "math"):
+                hit = owner.id != "math" and name in NUMPY_FLOAT_CALLS
+            elif isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) \
+                    and owner.value.id in ("np", "numpy"):
+                hit = name in UFUNC_METHODS or owner.attr in ("linalg", "fft")
+            else:
+                hit = name in REDUCING_METHODS
+            if hit:
+                found.append(node)
+    return [ast.unparse(node) for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_every_numpy_float_op_is_allowed_for_a_reason():
+    found = [(path.name, op) for path in sorted((SRC / "lesionprep").glob("*.py"))
+             for op in numpy_float_ops(path.read_text())]
+    assert found == list(NUMPY_FLOAT_OPS_ALLOWED)
+    assert all(NUMPY_FLOAT_OPS_ALLOWED.values())
+
+
+def test_numpy_float_op_guard_sees_every_form():
+    source = ("import math\nimport numpy as np\n"
+              "def f(a, b, k):\n"
+              "    x = a @ b + k.sum() / a.mean(axis=0) + k.reshape(2, 2).cumsum()[-1]\n"
+              "    y = np.add.reduce(a) + np.exp(a) + np.log(b) + np.linalg.norm(a) + np.dot(a, b)\n"
+              "    return x + y + np.sqrt(a) + np.add(a, b) + math.prod(k.shape) + math.fsum(k) + a.max()\n")
+    assert numpy_float_ops(source) == [
+        "a @ b", "k.sum()", "a.mean(axis=0)", "k.reshape(2, 2).cumsum()",
+        "np.add.reduce(a)", "np.exp(a)", "np.log(b)", "np.linalg.norm(a)", "np.dot(a, b)"]

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -812,11 +813,14 @@ class TestSmoothInpainted:
         assert out.pixels[0, :, 0].tolist() == [10, 20, 30, 30, 30]
 
     @settings(max_examples=100, deadline=None)
-    @given(masked_images(), st.sampled_from([3, 5, 7]))
-    def test_matches_scalar_oracle(self, case, window):
+    @given(masked_images(), st.sampled_from([3, 5, 7]), st.one_of(st.none(), st.integers(1, 8)))
+    def test_matches_scalar_oracle(self, case, window, chunk_pixels):
+        # chunk_pixels masked pixels per sorted chunk, or the module's budget
         pixels, bits = case
         cfg = PreprocessConfig(median_window=window)
-        got = smooth_inpainted(Image(pixels), HairMask(bits), cfg)
+        budget = preprocess._SMOOTH_BYTES if chunk_pixels is None else chunk_pixels * 3 * window * window * 2
+        with mock.patch.object(preprocess, "_SMOOTH_BYTES", budget):
+            got = smooth_inpainted(Image(pixels), HairMask(bits), cfg)
         assert np.array_equal(got.pixels, smooth_oracle(pixels, bits, cfg))
 
 
@@ -863,6 +867,18 @@ class TestAllocationBudget:
         bits[np.arange(100, 120), np.arange(40, 60)] = True  # a 20 px diagonal stroke
         mask = HairMask(bits)
         assert traced_peak(lambda: inpaint_hair(img, mask)) <= 3 * img.pixels.nbytes
+
+    def test_default_smoothing_of_a_masked_224_frame_is_one_chunk(self):
+        assert 224 * 224 * 3 * PreprocessConfig().median_window ** 2 * 2 <= preprocess._SMOOTH_BYTES
+
+    def test_smoothing_at_a_large_window_holds_the_budget_and_image_sized_arrays(self, rng):
+        # every pixel of a 64x64 image masked, 41x41 windows: 41 MB of int16
+        # windows if gathered at once
+        img = Image(rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8))
+        mask = HairMask(np.ones((64, 64), bool))
+        cfg = PreprocessConfig(median_window=41)
+        frames = 16 * img.height * img.width * 8  # the padded int16 image, coordinates and ranks as int64
+        assert traced_peak(lambda: smooth_inpainted(img, mask, cfg)) <= preprocess._SMOOTH_BYTES + frames
 
 
 # ---------------------------------------------------------------- pipeline

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lesionprep.quality import QualityRow, format_quality_report, quality_report, quality_row
+from lesionprep.quality import QualityRow, format_quality_report, quality_row
 from lesionprep.raster import GrayImage, Image
 
 from test_preprocess import golden_image, traced_peak
@@ -65,7 +65,7 @@ def quality_oracle(image_id, reference, test) -> QualityRow:
     d = [a - b for a, b in zip(ref, t)]
     denom = sum(v * v for v in ref)
     if denom == 0:
-        raise ValueError("l2rat undefined for an all-zero reference")
+        raise ValueError(f"pair {image_id!r}: l2rat undefined for an all-zero reference")
     m = Fraction(sum(v * v for v in d), len(d))
     return QualityRow(
         image_id=image_id,
@@ -249,15 +249,17 @@ class TestL2rat:
             row(gray([[0, 0]]), gray([[1, 2]]))
 
 
-class TestReport:
-    def test_empty(self):
-        assert quality_report([]) == []
+def report(pairs) -> str:
+    """The quality CSV of ``(id, reference, test)`` pairs, as `quality` writes it."""
+    return format_quality_report([quality_row(*pair) for pair in pairs])
 
+
+class TestReport:
     def test_identical_pair_row(self):
         img = gray([[7, 7]])
-        (row,) = quality_report([("a", img, img)])
+        row = quality_row("a", img, img)
         assert math.isinf(row.psnr)
-        assert (row.mse, row.maxerr, row.l2rat) == (0.0, 0, 1.0)
+        assert (row.image_id, row.mse, row.maxerr, row.l2rat) == ("a", 0.0, 0, 1.0)
 
     def test_matches_scalar_recomputation(self, rng):
         a = Image(rng.integers(0, 256, size=(5, 5, 3), dtype=np.uint8))
@@ -276,28 +278,32 @@ class TestReport:
         assert row.l2rat == Fraction(e_test, e_ref)
         assert_psnr_close(row.psnr, psnr_of(Fraction(sq_sum, n)))
 
-    def test_failing_pair_names_id(self):
-        good = gray([[1]])
-        bad = gray([[1, 2]])
-        with pytest.raises(ValueError, match="'case7'"):
-            quality_report([("ok", good, good), ("case7", good, bad)])
+    @pytest.mark.parametrize("reference, test, problem", [
+        (gray([[1]]), Image(np.ones((1, 1, 3), np.uint8)), "kind mismatch: GrayImage vs Image"),
+        (gray([[1]]), gray([[1, 2]]), "dimension mismatch: 1x1 vs 2x1"),
+        (gray([[0, 0]]), gray([[1, 2]]), "l2rat undefined for an all-zero reference"),
+    ], ids=["kind", "dimension", "all-zero"])
+    def test_each_error_names_the_pair(self, reference, test, problem):
+        with pytest.raises(ValueError) as exc:
+            quality_row("case7", reference, test)
+        assert str(exc.value) == f"pair 'case7': {problem}"
 
     def test_formatting(self):
         img = gray([[7, 7]])
-        text = format_quality_report(quality_report([("a", img, img)]))
+        text = report([("a", img, img)])
         lines = text.splitlines()
         assert lines[0] == "id,psnr_db,mse,maxerr,l2rat,width,height"
         assert lines[1] == "a,inf,0.0000,0,1.0000,2,1"
 
     def test_mean_row(self):
         a, b = gray([[10, 20]]), gray([[10, 14]])
-        text = format_quality_report(quality_report([("a", a, b)]))
+        text = report([("a", a, b)])
         assert text.splitlines()[-1].startswith("mean,")
 
     @pytest.mark.parametrize("case", EXACT_CASES)
     def test_each_cell_rounds_the_exact_value_once(self, case):
         (reference, test), lines = EXACT_CASES[case]
-        text = format_quality_report(quality_report([(case, reference, test)]))
+        text = report([(case, reference, test)])
         assert text.splitlines() == ["id,psnr_db,mse,maxerr,l2rat,width,height", *lines]
 
     def test_mean_row_is_the_mean_of_exact_values(self):
@@ -307,5 +313,5 @@ class TestReport:
         pixels = b.pixels.copy()
         pixels[0, 1] = 101
         c = Image(pixels)
-        text = format_quality_report(quality_report([("x", a, b), ("y", a, c), ("z", a, a)]))
+        text = report([("x", a, b), ("y", a, c), ("z", a, a)])
         assert text.splitlines()[-1] == "mean,89.6360,0.0000,0.6667,1.0000,,"

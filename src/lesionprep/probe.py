@@ -22,18 +22,19 @@ from block to block. Each float step is correctly rounded, so the bytes do not
 depend on the CPU.
 
 With two classes the softmax is one logistic unit on v = w1 - w0, c = b1 - b0.
-Training runs it on theta = (v, c) over feature rows ending in a 1, at step
-2 * learning_rate: from zero init, the softmax's own descent in exact
-arithmetic. The rows are permuted once per run by the package's seeded
-xoshiro256**, and each batch is the next window of min(batch_size, n) rows of
-that permutation, wrapping from its end to its start. The model holds theta
-as it is; only `format_model` writes softmax rows (-v/2, v/2) and bias
-(-c/2, c/2), whose differences give theta back exactly unless some nonzero
-|theta_i| < 2^-1021, whose half rounds. Sums add in index order and each row
-takes one ``math.exp``: no matmul, BLAS or ``np.exp``, so model and curve
-bytes do not depend on numpy's or BLAS's kernels. Only libm's ``exp``
-and ``log`` remain; glibc's may differ in the last bit between versions, and
-between its FMA and SSE2 variants, under both of which the golden tests run.
+Training runs it on theta = (v, c) at step 2 * learning_rate: from zero init,
+the softmax's own descent in exact arithmetic. Each set of m examples is one
+(d + 1, m) array, a column per example: its features, then a 1. The examples
+are permuted once per run by the package's seeded xoshiro256**, and each
+batch is the next window of min(batch_size, n) of them in that permutation,
+wrapping from its end to its start. The model holds theta as it is; only
+`format_model` writes softmax rows (-v/2, v/2) and bias (-c/2, c/2), whose
+differences give theta back exactly unless some nonzero |theta_i| < 2^-1021,
+whose half rounds. Sums add in index order and each example takes one
+``math.exp``: no matmul, BLAS or ``np.exp``, so model and curve bytes do not
+depend on numpy's or BLAS's kernels. Only libm's ``exp`` and ``log`` remain;
+glibc's may differ in the last bit between versions, and between its FMA and
+SSE2 variants, under both of which the golden tests run.
 """
 
 from __future__ import annotations
@@ -138,44 +139,41 @@ def _sobel(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax_predict(model: LinearProbeModel, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (benign, malignant) of one feature vector: the
-    model's softmax, computed as the logistic unit that training runs."""
-    z = _logits(model.theta, np.append(np.asarray(features, dtype=np.float64), 1.0)[None])
+    """Class probabilities (benign, malignant) of one vector of d features:
+    the model's softmax, computed as the logistic unit that training runs."""
+    x, d = np.asarray(features, dtype=np.float64), len(model.theta) - 1
+    if x.shape != (d,):
+        raise ValueError(f"expected {d} features, got {len(x) if x.ndim == 1 else f'shape {x.shape}'}")
+    z = _logits(model.theta, np.append(x, 1.0)[:, None])
     return _sigmoids(np.concatenate([-z, z]))
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """The sum of the rows of the 2-D ``a``, added one row at a time in index
-    order, as ``np.cumsum`` is defined to."""
-    return np.cumsum(a, axis=0)[-1]
-
-
-def _logits(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """theta . r of each of the (m, d + 1) ``rows``, summed in feature order."""
-    return _sum_rows(np.multiply(rows.T, theta[:, None], order="C"))
+def _logits(theta: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """theta . x of each column x of ``columns``, added feature by feature in index order."""
+    return np.cumsum(columns * theta[:, None], axis=0)[-1]
 
 
 def _sigmoids(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)) of each t in ``z``, as 1 / (1 + e) or e / (1 + e)
-    from one ``math.exp`` of -|t| per row, which cannot overflow."""
+    from one ``math.exp`` of -|t| per logit, which cannot overflow."""
     e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def batch_scores(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy over (m, d + 1) ``rows``: a positive
+def batch_scores(theta: np.ndarray, columns: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy over (d + 1, m) ``columns``: a positive
     logit predicts malignant, and p(true label) is floored at 1e-12."""
-    z, malignant = _logits(theta, rows), labels == 1
+    z, malignant = _logits(theta, columns), labels == 1
     p_true = np.maximum(_sigmoids(np.where(malignant, z, -z)), 1e-12)
     loss = 0.0 - math.fsum(map(math.log, p_true.tolist()))  # 0 - x: a zero loss is 0, not -0
     return int(np.count_nonzero((z > 0) == malignant)) / len(z), loss / len(z)
 
 
-def batch_gradient(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient wrt theta of the mean cross-entropy over (m, d + 1) ``rows``."""
-    delta = _sigmoids(_logits(theta, rows))
+def batch_gradient(theta: np.ndarray, columns: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient wrt theta of the mean cross-entropy over the (d + 1, m) ``columns``."""
+    delta = _sigmoids(_logits(theta, columns))
     delta -= labels
-    return _sum_rows(rows * delta[:, None]) / len(delta)
+    return np.cumsum(columns * delta, axis=1)[:, -1] / len(delta)
 
 
 def train_probe(
@@ -212,22 +210,22 @@ def train_probe(
         if len(bad):
             raise ValueError(f"{name} labels must be 0 or 1, got {bad[0]}")
 
-    rows, val_rows = (np.concatenate([a, np.ones((len(a), 1))], axis=1) for a in (X, Xv))
+    columns, val_columns = (np.concatenate([a.T, np.ones((1, len(a)))]) for a in (X, Xv))
     n, m, step = len(X), min(config.batch_size, len(X)), 2 * config.learning_rate
     perm = list(range(n))
     dataset.Xoshiro256StarStar(config.seed).shuffle(perm)
     ring = perm + perm[: m - 1]  # every window is a slice of it, wrapped or not
-    ring_rows, ring_labels = rows[ring], y[ring]
-    theta = np.zeros(rows.shape[1])
+    ring_columns, ring_labels = columns[:, ring], y[ring]
+    theta = np.zeros(len(columns))
     curve = []
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging theta is refused once, below
         for it in range(1, config.iterations + 1):
             start = (it - 1) * m % n
             window = slice(start, start + m)
-            theta -= step * batch_gradient(theta, ring_rows[window], ring_labels[window])
+            theta -= step * batch_gradient(theta, ring_columns[:, window], ring_labels[window])
             if it % config.eval_interval == 0 or it == config.iterations:
-                train_acc, train_xent = batch_scores(theta, rows, y)
-                val_acc, val_xent = batch_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)
+                train_acc, train_xent = batch_scores(theta, columns, y)
+                val_acc, val_xent = batch_scores(theta, val_columns, yv) if len(yv) else (math.nan, math.nan)
                 curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
 
     return LinearProbeModel(theta), curve

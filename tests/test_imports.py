@@ -272,7 +272,8 @@ NUMPY_FLOAT_OPS_ALLOWED = {
     ("probe.py", "counts @ _LEVELS"): INTEGERS,
     ("probe.py", "counts @ (_LEVELS * _LEVELS)"): INTEGERS,
     ("probe.py", "counts.reshape(3, 16, 16).sum(axis=2)"): INTEGERS,
-    ("probe.py", "np.cumsum(a, axis=0)"): ORDERED,
+    ("probe.py", "np.cumsum(columns * theta[:, None], axis=0)"): ORDERED,
+    ("probe.py", "np.cumsum(columns * delta, axis=1)"): ORDERED,
     ("quality.py", "np.square(v, dtype=np.uint16).sum(dtype=np.uint64)"): INTEGERS,
 }
 

@@ -55,11 +55,11 @@ def cross_entropy(probabilities: np.ndarray, true_label: int) -> float:
     return -math.log(max(float(probabilities[true_label]), 1e-12))
 
 
-def rows_of(features) -> np.ndarray:
-    """(m, d) features as the (m, d + 1) rows the logistic unit reads: each
+def columns_of(features) -> np.ndarray:
+    """(m, d) features as the (d + 1, m) columns the logistic unit reads: each
     ends in a 1, the input of the bias."""
     X = np.asarray(features, dtype=np.float64)
-    return np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    return np.concatenate([X.T, np.ones((1, len(X)))])
 
 
 def gradient_check(
@@ -72,15 +72,15 @@ def gradient_check(
     steps along and central finite differences of the mean cross-entropy,
     over every parameter of the model's logistic unit. Relative error uses a
     1e-6 floor so a near-zero gradient does not blow up the ratio."""
-    rows = rows_of(features)
+    columns = columns_of(features)
     y = np.asarray(labels, dtype=np.int64)
-    if len(rows) == 0:
+    if len(y) == 0:
         raise ValueError("batch must be nonempty")
     theta = model.theta
-    analytic = batch_gradient(theta, rows, y)
+    analytic = batch_gradient(theta, columns, y)
 
     def loss_at(vec: np.ndarray) -> float:
-        return batch_scores(vec, rows, y)[1]
+        return batch_scores(vec, columns, y)[1]
 
     numeric = np.empty_like(theta)
     for i in range(len(theta)):
@@ -313,6 +313,55 @@ def train_probe_oracle(train_features, train_labels, val_features, val_labels, c
     return LinearProbeModel(theta), curve
 
 
+def row_major_sum_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of the 2-D ``a`` added one at a time, in index order."""
+    return np.cumsum(a, axis=0)[-1]
+
+
+def row_major_logits(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return row_major_sum_rows(np.multiply(rows.T, theta[:, None], order="C"))
+
+
+def row_major_scores(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    z, malignant = row_major_logits(theta, rows), labels == 1
+    p_true = np.maximum(probe._sigmoids(np.where(malignant, z, -z)), 1e-12)
+    loss = 0.0 - math.fsum(map(math.log, p_true.tolist()))
+    return int(np.count_nonzero((z > 0) == malignant)) / len(z), loss / len(z)
+
+
+def row_major_gradient(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    delta = probe._sigmoids(row_major_logits(theta, rows))
+    delta -= labels
+    return row_major_sum_rows(rows * delta[:, None]) / len(delta)
+
+
+def row_major_train_probe(train_features, train_labels, val_features, val_labels, config):
+    """train_probe as it was on (m, d + 1) rows, each a feature vector ending
+    in a 1: the same products and sums in the same order, with each logit
+    summed over a transposed C-order copy of the rows."""
+    X = np.asarray(train_features, dtype=np.float64)
+    Xv = np.asarray(val_features, dtype=np.float64).reshape(-1, X.shape[1])
+    y, yv = np.asarray(train_labels, dtype=np.int64), np.asarray(val_labels, dtype=np.int64)
+    rows, val_rows = (np.concatenate([a, np.ones((len(a), 1))], axis=1) for a in (X, Xv))
+    n, m, step = len(X), min(config.batch_size, len(X)), 2 * config.learning_rate
+    perm = list(range(n))
+    Xoshiro256StarStar(config.seed).shuffle(perm)
+    ring = perm + perm[: m - 1]
+    ring_rows, ring_labels = rows[ring], y[ring]
+    theta = np.zeros(rows.shape[1])
+    curve = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, config.iterations + 1):
+            start = (it - 1) * m % n
+            window = slice(start, start + m)
+            theta -= step * row_major_gradient(theta, ring_rows[window], ring_labels[window])
+            if it % config.eval_interval == 0 or it == config.iterations:
+                train_acc, train_xent = row_major_scores(theta, rows, y)
+                val_acc, val_xent = row_major_scores(theta, val_rows, yv) if len(yv) else (math.nan, math.nan)
+                curve.append(CurvePoint(it, train_acc, val_acc, train_xent, val_xent))
+    return LinearProbeModel(theta), curve
+
+
 def softmax_oracle(train_features, train_labels, val_features, val_labels, config):
     """The zero-init two-class softmax layer that the logistic unit stands
     for, trained on the same batches with numpy's keepdims softmax and both
@@ -349,9 +398,9 @@ def softmax_oracle(train_features, train_labels, val_features, val_labels, confi
     return weights, bias, curve
 
 
-def assert_trains_like_oracle(data, config):
+def assert_trains_like_oracle(data, config, oracle=train_probe_oracle):
     model, curve = train_probe(*data, config)
-    want_model, want_curve = train_probe_oracle(*data, config)
+    want_model, want_curve = oracle(*data, config)
     assert format_model(model) == format_model(want_model)
     assert format_curve(curve) == format_curve(want_curve)
 
@@ -374,6 +423,32 @@ def training_runs(draw):
         batch_size=batch,
         iterations=draw(st.integers(1, 30)),
         eval_interval=draw(st.integers(1, 12)),
+    )
+    return data, config
+
+
+def fortran_order(data):
+    """The training set with both feature arrays in Fortran order."""
+    X, y, Xv, yv = data
+    return np.asfortranarray(X), y, np.asfortranarray(Xv), yv
+
+
+@st.composite
+def scaled_training_runs(draw):
+    """1-40 train and 0-10 val rows of 1-8 features in [0, s) for s up to
+    1e8, in C or Fortran order, and batches of 1-48 rows: one row, all n rows,
+    and windows that wrap."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    data = random_training_set(draw(st.integers(0, 2**32 - 1)), n, d, draw(st.integers(0, 10)),
+                               10.0 ** draw(st.floats(0, 8)))
+    if draw(st.booleans()):
+        data = fortran_order(data)
+    config = TrainConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        learning_rate=draw(st.floats(1e-3, 5)),
+        batch_size=draw(st.integers(1, 48)),
+        iterations=draw(st.integers(1, 200)),
+        eval_interval=draw(st.integers(1, 60)),
     )
     return data, config
 
@@ -490,6 +565,16 @@ class TestSoftmax:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (p >= 0).all()
 
+    @pytest.mark.parametrize("features, got", [
+        (np.zeros(0), "0"), (np.zeros(2), "2"), (np.zeros(4), "4"), (np.zeros((3, 1)), "shape (3, 1)"),
+    ])
+    def test_refuses_other_than_d_features(self, features, got):
+        # an empty vector once broadcast to sigma(sum theta), and 2 features
+        # failed inside numpy
+        model = LinearProbeModel(np.array([1.0, -2.0, 0.5, 3.0]))
+        with pytest.raises(ValueError, match=rf"^expected 3 features, got {re.escape(got)}$"):
+            softmax_predict(model, features)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -537,24 +622,24 @@ class TestGradientCheck:
         X = np.tile(np.array([[0.3, 0.7]]), (2, 1))
         y = np.array([0, 1])
         model = zero_model(2)
-        assert batch_gradient(model.theta, rows_of(X), y).tolist() == [0.0, 0.0, 0.0]
+        assert batch_gradient(model.theta, columns_of(X), y).tolist() == [0.0, 0.0, 0.0]
         assert gradient_check(model, X, y) < 1e-5
 
     def test_duplicating_batch_keeps_mean_gradient(self, rng):
         theta = rng.normal(size=4)
         X = rng.normal(size=(5, 3))
         y = rng.integers(0, 2, size=5)
-        once = batch_gradient(theta, rows_of(X), y)
-        twice = batch_gradient(theta, rows_of(np.vstack([X, X])), np.concatenate([y, y]))
+        once = batch_gradient(theta, columns_of(X), y)
+        twice = batch_gradient(theta, columns_of(np.vstack([X, X])), np.concatenate([y, y]))
         assert once == pytest.approx(twice)
 
     def test_one_row_and_one_column_sum_in_index_order(self):
-        # these values sum to 1 in index order; numpy's pairwise reduce of a
-        # single column gives 7
+        # these values sum to 1 in index order and to 7 in numpy's pairwise
+        # reduce: the logit of one (10, 1) column adds over its features, and
+        # the gradient of one (1, 10) row, each delta 0.5, over its examples
         theta = np.array([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16, 1.0])
-        assert probe._logits(theta, np.ones((1, 10))).tolist() == [1.0]
-        rows = theta[:, None].copy()
-        assert probe._sum_rows(rows).tolist() == [1.0]
+        assert probe._logits(theta, np.ones((10, 1))).tolist() == [1.0]
+        assert batch_gradient(np.zeros(1), 2 * theta[None, :], np.zeros(10)).tolist() == [0.1]
 
 
 class TestTraining:
@@ -628,6 +713,19 @@ class TestTraining:
     @example((random_training_set(11, 24, 55, 6), TrainConfig(seed=12, iterations=300)))
     def test_matches_oracle_byte_for_byte(self, run):
         assert_trains_like_oracle(*run)
+
+    @settings(deadline=None, max_examples=60)
+    @given(scaled_training_runs())
+    # one example per window (a logit of 9 features summed alone), windows
+    # that wrap (12 rows in fives), one window of all rows, and features in
+    # Fortran order: the bytes must not depend on the caller's memory layout
+    @example((random_training_set(1, 12, 8, 1, 1e8), TrainConfig(seed=2, learning_rate=5.0, batch_size=1, iterations=40, eval_interval=7)))
+    @example((random_training_set(3, 12, 8, 10, 1e3), TrainConfig(seed=4, learning_rate=0.5, batch_size=5, iterations=37, eval_interval=10)))
+    @example((random_training_set(5, 40, 8, 0, 30.0), TrainConfig(seed=6, learning_rate=1e-3, batch_size=48, iterations=200, eval_interval=60)))
+    @example((fortran_order(random_training_set(5, 40, 8, 3, 30.0)), TrainConfig(seed=6, learning_rate=0.1, batch_size=48, iterations=50, eval_interval=9)))
+    def test_matches_row_major_oracle_byte_for_byte(self, run):
+        # |gradient| <= 1e8 and step <= 10 keep theta below 2e11: no run diverges
+        assert_trains_like_oracle(*run, oracle=row_major_train_probe)
 
     @pytest.mark.parametrize("seed, n, batch", [(1, 22, 32), (2, 9, 32), (3, 40, 8)],
                              ids=["bench-hairy", "bench-dense", "shuffled"])
@@ -747,7 +845,7 @@ class TestPersistence:
         expected = np.mean(
             [cross_entropy(softmax_predict(model, x), label) for x, label in zip(X, y)]
         )
-        assert batch_scores(model.theta, rows_of(X), y)[1] == pytest.approx(expected, rel=1e-12)
+        assert batch_scores(model.theta, columns_of(X), y)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_saved_rows_are_opposite_halves(self, rng):
         # a feature that is 0 in every row keeps a zero weight, saved as 0, not -0

@@ -256,19 +256,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_preprocess_flags(p: _Parser) -> None:
-    p.add_argument("--sharpen-sigma", type=float)
-    p.add_argument("--sharpen-amount", type=float)
-    p.add_argument("--sharpen-threshold", type=int)
-    p.add_argument("--se-length", type=int)
-    p.add_argument("--hair-threshold", type=int)
-    p.add_argument("--min-component-span", type=int)
-    p.add_argument("--max-thinness", type=float)
-    p.add_argument("--interp-margin", type=int)
-    p.add_argument("--median-window", type=int)
-    p.add_argument("--no-hair-removal", dest="hair_removal_enabled", action="store_false")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="lesionprep")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -280,7 +267,16 @@ def build_parser() -> _Parser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--out-root", required=True)
     p.add_argument("--jobs", type=positive_int, default=1)
-    _add_preprocess_flags(p)
+    p.add_argument("--sharpen-sigma", type=float)
+    p.add_argument("--sharpen-amount", type=float)
+    p.add_argument("--sharpen-threshold", type=int)
+    p.add_argument("--se-length", type=int)
+    p.add_argument("--hair-threshold", type=int)
+    p.add_argument("--min-component-span", type=int)
+    p.add_argument("--max-thinness", type=float)
+    p.add_argument("--interp-margin", type=int)
+    p.add_argument("--median-window", type=int)
+    p.add_argument("--no-hair-removal", dest="hair_removal_enabled", action="store_false")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("quality", help="before/after image quality report")

@@ -202,8 +202,6 @@ def _close(values: np.ndarray, length: int, orientation: int) -> np.ndarray:
     runs an in-place call with overlapping operands without SIMD. A length
     beyond 2 max(h, w) - 1, whose line spans the image from any pixel, acts
     as that length."""
-    if length < 3 or length % 2 == 0:
-        raise ValueError("SE length must be odd and >= 3")
     h, w = values.shape[-2:]
     length = min(length, max(3, 2 * max(h, w) - 1))
     half = length // 2
@@ -395,10 +393,8 @@ def inpaint_hair(image: Image, mask: HairMask, config: PreprocessConfig = Prepro
     da, db = dist_a[two, None], dist_b[two, None]
     # (db * va + da * vb) / (da + db) rounded half up, in integers
     out[pixels[two]] = (2 * (db * va + da * vb) + da + db) // (2 * (da + db))
-    only_a = has_a & ~has_b
-    out[pixels[only_a]] = src[side_a[only_a]]
-    only_b = has_b & ~has_a
-    out[pixels[only_b]] = src[side_b[only_b]]
+    one = has_a ^ has_b
+    out[pixels[one]] = src[np.where(has_a, side_a, side_b)[one]]
     return Image(out.reshape(image.pixels.shape))
 
 

@@ -1,9 +1,9 @@
 """8-bit raster images and a binary netpbm (P5/P6) codec.
 
 An Image (RGB) or a GrayImage is a frozen dataclass with one field,
-``pixels``: a read-only uint8 numpy array. The codec is bit-exact: encoding
-is canonical (single-space header, maxval 255, one newline before the
-payload) and decode(encode(x)) == x for every valid raster.
+``pixels``: a read-only uint8 numpy array, made only from uint8 arrays. The
+codec is bit-exact: encoding is canonical (single-space header, maxval 255,
+one newline before payload) and decode(encode(x)) == x for any valid raster.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ class NetpbmError(ValueError):
 @dataclass(frozen=True, eq=False)
 class _Raster:
     """What Image and GrayImage share: ``pixels``, a read-only uint8 array of
-    shape (height, width) + ``_PIXEL``, at least 1x1. A uint8 array whose base
-    chain ends in ``bytes`` (``decode_netpbm``'s view of a file read) is kept
-    without a copy, since ``bytes`` cannot change; any other input (a writable
-    array or a view of one, a ``bytearray``, a ``memoryview``) is copied."""
+    shape (height, width) + ``_PIXEL``, at least 1x1 (any other dtype is a
+    ValueError). A uint8 array whose base chain ends in ``bytes``
+    (``decode_netpbm``'s view of a file read) is kept without a copy, since
+    ``bytes`` cannot change; any other input (a writable array or a view of
+    one, a ``bytearray``, a ``memoryview``) is copied."""
 
     pixels: np.ndarray
     _PIXEL = ()
@@ -44,14 +45,12 @@ class _Raster:
         if a.ndim < 2 or a.shape[2:] != self._PIXEL or 0 in a.shape[:2]:
             dims = ", ".join(["h", "w", *map(str, self._PIXEL)])
             raise ValueError(f"expected ({dims}) array, got shape {a.shape}")
+        if a.dtype != np.uint8:
+            raise ValueError(f"expected uint8 pixels, got {a.dtype}")
         base = a
         while isinstance(base, np.ndarray):
             base = base.base
-        if a.dtype != np.uint8:
-            if a.min() < 0 or a.max() > 255:
-                raise ValueError("values must lie in [0, 255]")
-            a = a.astype(np.uint8)
-        elif not isinstance(base, bytes):
+        if not isinstance(base, bytes):
             a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "pixels", a)

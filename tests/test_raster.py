@@ -142,17 +142,26 @@ def test_image_and_gray_share_their_checks(cls, shape):
     for bad in [(3,), shape[:2] + (4,), (0,) + shape[1:], shape + (1,)]:
         with pytest.raises(ValueError, match="expected"):
             cls(np.zeros(bad, np.uint8))
-    for value in (-1, 256):
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            cls(np.full(shape, value))
-    source = np.arange(np.prod(shape)).reshape(shape) * 9
+    for value in (-1, 0, 256):  # in range or not
+        with pytest.raises(ValueError, match="^expected uint8 pixels, got int64$"):
+            cls(np.full(shape, value, np.int64))
+    source = (np.arange(np.prod(shape)).reshape(shape) * 9).astype(np.uint8)
     image = cls(source)
     array = image.pixels
     assert array.dtype == np.uint8 and np.array_equal(array, source)
     assert not array.flags.writeable and not np.shares_memory(array, source)
     assert (image.width, image.height) == (3, 2)
-    assert image == cls(source.astype(np.uint8)) and image != cls(source // 2)
+    assert image == cls(source.copy()) and image != cls(source // 2)
     assert Image(np.zeros((2, 3, 3), np.uint8)) != GrayImage(np.zeros((2, 3), np.uint8))
+
+
+@pytest.mark.parametrize("pixels, dtype", [(np.full((2, 2, 3), 1.7), "float64"),
+                                           (np.full((2, 2, 3), np.nan), "float64"),
+                                           (np.ones((2, 2, 3), bool), "bool")])
+def test_refuses_float_and_bool_pixels(pixels, dtype):
+    # no rounding of 1.7 to 1 and no NaN cast to 0: only uint8 is a pixel
+    with pytest.raises(ValueError, match=f"^expected uint8 pixels, got {dtype}$"):
+        Image(pixels)
 
 
 class TestDecodeBuffers:

@@ -154,12 +154,19 @@ def cmd_preprocess(args) -> int:
     if not files:
         print("WARNING empty manifest: nothing to do", file=sys.stderr)
         return 0
-    jobs = min(args.jobs, len(files))  # a forked pool starts all its workers at once
+    # a forked pool starts all its workers at once: at most one per image and per CPU that this
+    # process may run on (macOS and Windows have no affinity call: all CPUs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(args.jobs, len(files), cpus)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(functools.partial(_preprocess_one, config), files))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(functools.partial(_preprocess_one, config), files))
+        except BrokenProcessPool as exc:  # a worker was killed, by a signal or the OOM killer
+            raise ValueError(f"a --jobs worker died: {exc}") from exc
     else:
         results = [_preprocess_one(config, row) for row in files]
     config_dict = dataclasses.asdict(config)
@@ -175,13 +182,16 @@ def cmd_quality(args) -> int:
 
     files = _entry_files(args.manifest, args.images_root, args.pre_root)
 
-    def pairs():  # one pair decoded at a time
-        for e, src, pre, _ in files:
-            if not pre.exists():
-                raise ValueError(f"missing preprocessed counterpart {pre}")
-            yield e.path, _read(src, _load_image), _read(pre, _load_image)
+    def row(e, src, pre):  # one pair decoded at a time
+        if not pre.exists():
+            raise ValueError(f"missing preprocessed counterpart {pre}")
+        before, after = _read(src, _load_image), _read(pre, _load_image)
+        try:
+            return quality.quality_row(e.path, before, after)
+        except MemoryError as exc:  # named as quality_row names its own errors
+            raise ValueError(f"pair {e.path!r}: {str(exc) or 'out of memory'}") from exc
 
-    _write_text(args.out, quality.format_quality_report([quality.quality_row(*pair) for pair in pairs()]))
+    _write_text(args.out, quality.format_quality_report([row(e, src, pre) for e, src, pre, _ in files]))
     return 0
 
 
@@ -203,7 +213,7 @@ def _features_for(files):
 
     from . import probe
 
-    X = [probe.extract_features(_read(src, _load_image)) for _, src in files]
+    X = [_read(src, lambda path: probe.extract_features(_load_image(path))) for _, src in files]
     y = [dataset.LABELS.index(e.label) for e, _ in files]
     return np.array(X), np.array(y, dtype=np.int64)
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lesionprep import cli, preprocess
+from lesionprep import cli, preprocess, probe, quality
 from lesionprep.cli import main
 from lesionprep.dataset import ManifestEntry, SplitConfig, format_manifest
 from lesionprep.preprocess import PreprocessConfig
@@ -242,18 +243,25 @@ class TestPreprocess:
         (MemoryError("Unable to allocate 18.1 GiB"), "Unable to allocate 18.1 GiB"),
         (MemoryError(), "out of memory"),
     ])
-    def test_out_of_memory_in_a_stage_is_a_data_error(self, tmp_path, capsys, monkeypatch, error, reason):
+    @pytest.mark.parametrize("command", ["preprocess", "quality", "train-probe"])
+    def test_out_of_memory_in_a_stage_is_a_data_error(self, tmp_path, capsys, monkeypatch, error, reason, command):
         write_image(tmp_path / "a.ppm", seed=1, bright=True)
+        write_image(tmp_path / "out" / "a.pre.ppm", seed=2, bright=True)
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\na.ppm,benign,train\n")
 
-        def fail(image, mask, config):
+        def fail(*args):
             raise error
 
-        monkeypatch.setattr(preprocess, "smooth_inpainted", fail)
-        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
-                   "--out-root", tmp_path / "out") == 2
-        assert error_message(capsys.readouterr().err) == f"{tmp_path / 'a.ppm'}: {reason}"
+        stage, flags, name = {
+            "preprocess": ((preprocess, "smooth_inpainted"), ["--out-root", tmp_path / "out"], tmp_path / "a.ppm"),
+            "quality": ((quality, "quality_row"), ["--pre-root", tmp_path / "out"], "pair 'a.ppm'"),
+            "train-probe": ((probe, "extract_features"), ["--seed", 1, "--model-out", tmp_path / "model.txt",
+                                                          "--curve-out", tmp_path / "curve.csv"], tmp_path / "a.ppm"),
+        }[command]
+        monkeypatch.setattr(*stage, fail)
+        assert run(command, "--manifest", manifest, "--images-root", tmp_path, *flags) == 2
+        assert error_message(capsys.readouterr().err) == f"{name}: {reason}"
 
     def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
         write_image(tmp_path / "a.ppm", seed=1, bright=True)
@@ -279,10 +287,13 @@ class TestPreprocess:
                 "--out-root", tmp_path / "out", "--no-sharpen")
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("images, widths", [(3, [3]), (1, [])], ids=["3-images", "1-image"])
-    def test_pool_has_at_most_one_worker_per_image(self, tmp_path, monkeypatch, images, widths):
+    @pytest.mark.parametrize("images, affinity, widths", [
+        (3, 8, [3]), (3, 2, [2]), (1, 8, []), (3, 1, []), (3, None, [2]),
+    ], ids=["3-images", "2-cpus", "1-image", "1-cpu", "no-affinity-call"])
+    def test_pool_has_at_most_one_worker_per_image(self, tmp_path, monkeypatch, images, affinity, widths):
         # a fake pool that records its width and maps in this process, so no
-        # worker starts; one image runs serially, with no pool at all
+        # worker starts; one image or one usable CPU runs serially, with no pool at all.
+        # Without an affinity call every one of the 2 CPUs counts
         started = []
 
         def pool(max_workers):
@@ -290,6 +301,11 @@ class TestPreprocess:
             return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
         for i in range(images):
             write_image(tmp_path / "data" / f"i{i}.ppm", seed=i, bright=True)
         manifest = tmp_path / "m.csv"
@@ -298,6 +314,25 @@ class TestPreprocess:
                    "--out-root", tmp_path / "out", "--jobs", 8) == 0
         assert started == widths
         assert len((tmp_path / "out" / "preprocess_log.jsonl").read_text().splitlines()) == images
+
+    def test_a_killed_worker_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        # each of the 2 workers kills itself, as the OOM killer would; the test process never runs one
+        parent = os.getpid()
+
+        def die(image, config):
+            assert os.getpid() != parent, "preprocess ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(preprocess, "preprocess_pipeline", die)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for i in range(2):
+            write_image(tmp_path / "data" / f"i{i}.ppm", seed=i, bright=True)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\ni0.ppm,benign,train\ni1.ppm,benign,train\n")
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path / "data",
+                   "--out-root", tmp_path / "out", "--jobs", 2) == 2
+        assert error_message(capsys.readouterr().err).startswith("a --jobs worker died: ")
+        assert not (tmp_path / "out" / "preprocess_log.jsonl").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

@@ -27,6 +27,7 @@ from lesionprep.raster import GrayImage
 
 from test_preprocess import closing_oracle, hairy_scene, morph_close_line
 from test_probe import gradient_check, random_model
+from test_quality import CONSISTENT_ROWS, INCONSISTENT_ROWS
 
 CORPUS_SIZE = 100
 
@@ -37,26 +38,12 @@ def ok(n, message):
 
 # ------------------------------------------------------------------ 1
 
-TABLE1 = [
-    # (psnr_db, mse, consistent)
-    (19.4205, 743.0656, True),
-    (21.5481, 655.2738, False),
-    (22.1285, 398.3229, True),
-    (23.2953, 304.4737, True),
-    (22.4291, 371.6785, True),
-    (24.0840, 329.9128, False),
-    (18.6732, 882.5930, True),
-    (19.3975, 847.0221, False),
-]
-
-
 def test_criterion_1_psnr_mse_golden_consistency():
-    for db, m, consistent in TABLE1:
-        derived = 10 * math.log10(255**2 / m)
-        if consistent:
-            assert abs(derived - db) <= 0.001, (db, m, derived)
-        else:
-            assert abs(derived - db) > 0.001, (db, m, derived)
+    # the published (PSNR, MSE) rows, split by whether the PSNR follows from the MSE
+    for rows, consistent in ((CONSISTENT_ROWS, True), (INCONSISTENT_ROWS, False)):
+        for db, m in rows:
+            derived = 10 * math.log10(255**2 / m)
+            assert (abs(derived - db) <= 0.001) == consistent, (db, m, derived)
     ok(1, "5 consistent PSNR/MSE rows within 0.001 dB; 3 anomalous rows flagged")
 
 

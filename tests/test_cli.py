@@ -71,6 +71,25 @@ def snapshot(root):
             for f in root.rglob("*") if f.is_file() or f.is_symlink()}
 
 
+def refuse_reads(monkeypatch, refused):
+    """Fail the test at any image read: the command refuses ``refused`` first."""
+    def read(path):
+        raise AssertionError(f"read {path} before refusing {refused}")
+
+    monkeypatch.setattr(cli, "_load_image", read)
+
+
+def fill_the_disk_halfway(monkeypatch):
+    """Every ``Path.write_bytes`` writes half its data, then fails as a full disk does."""
+    real_write_bytes = Path.write_bytes
+
+    def write_half_then_fail(path, data):
+        real_write_bytes(path, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+
+
 # metrics a hand-edited report.json might carry; `report` must not print them
 STALE_METRICS = dict.fromkeys(["accuracy", "sensitivity", "specificity", "precision", "f1"], 1.0)
 
@@ -239,6 +258,26 @@ class TestPreprocess:
         message = error_message(capsys.readouterr().err)
         assert str(tmp_path / "a.ppm") in message and "pipeline exploded" in message
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_truncated_image_among_good_ones_is_a_data_error(self, tmp_path, capsys, monkeypatch, jobs):
+        # the third of five 32x32 images ends 100 bytes into its 3072-byte
+        # payload; two usable CPUs, so that --jobs 2 forks its pool on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for i in range(5):
+            write_image(tmp_path / "data" / f"i{i}.ppm", seed=i, bright=True)
+        bad = tmp_path / "data" / "i2.ppm"
+        data = bad.read_bytes()[:-2972]
+        bad.write_bytes(data)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\n" + "".join(f"i{i}.ppm,benign,train\n" for i in range(5)))
+        assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path / "data",
+                   "--out-root", tmp_path / "out", "--jobs", jobs) == 2
+        err = capsys.readouterr().err
+        assert err.count("ERROR") == 1
+        assert error_message(err) == (
+            f"{bad}: truncated payload: expected 3072 bytes, got 100 (byte offset {len(data)})")
+        assert not (tmp_path / "out" / "preprocess_log.jsonl").exists()
+
     @pytest.mark.parametrize("error, reason", [
         (MemoryError("Unable to allocate 18.1 GiB"), "Unable to allocate 18.1 GiB"),
         (MemoryError(), "out of memory"),
@@ -268,13 +307,7 @@ class TestPreprocess:
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,split\na.ppm,benign,train\n")
         out = tmp_path / "out"
-        real_write_bytes = Path.write_bytes
-
-        def write_half_then_fail(path, data):
-            real_write_bytes(path, data[: len(data) // 2])
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        fill_the_disk_halfway(monkeypatch)
         assert run("preprocess", "--manifest", manifest, "--images-root", tmp_path,
                    "--out-root", out, "--jobs", 1) == 2
         monkeypatch.undo()
@@ -455,10 +488,7 @@ class TestOutputCollisions:
         (tmp_path / "m.csv").write_text("path,label,split\n" + "".join(f"train/benign/{e},benign,train\n"
                                                                      for e in entries))
 
-        def read(path):
-            raise AssertionError(f"read {path} before refusing the manifest")
-
-        monkeypatch.setattr(cli, "_load_image", read)
+        refuse_reads(monkeypatch, "the manifest")
         return [tmp_path / root for root in roots], message, snapshot(tmp_path)
 
     def refused(self, tmp_path, capsys, message, before, root, *argv):
@@ -495,10 +525,7 @@ class TestOutputCollisions:
                             f"train/benign/{output},benign,train\n")
         before = snapshot(data)
 
-        def read(path):
-            raise AssertionError(f"read {path} before refusing the manifest")
-
-        monkeypatch.setattr(cli, "_load_image", read)
+        refuse_reads(monkeypatch, "the manifest")
         assert run("preprocess", "--manifest", manifest, "--images-root", data, "--out-root", data,
                    "--jobs", jobs) == 2
         assert error_message(capsys.readouterr().err) == (
@@ -656,13 +683,7 @@ class TestTrainProbe:
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
         model_out = tmp_path / "model.txt"
         model_out.write_text("old model\n")
-        real_write_bytes = Path.write_bytes
-
-        def write_half_then_fail(path, data):
-            real_write_bytes(path, data[: len(data) // 2])
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        fill_the_disk_halfway(monkeypatch)
         assert run("train-probe", "--manifest", manifest, "--images-root", dataset_root,
                    "--iterations", 20, "--eval-interval", 10, "--seed", 5,
                    "--model-out", model_out, "--curve-out", tmp_path / "curve.csv") == 2
@@ -732,10 +753,7 @@ class TestConfigFlags:
         manifest = tmp_path / "m.csv"
         run("split", "--root", dataset_root, "--seed", 3, "--out", manifest)
 
-        def read(path):
-            raise AssertionError(f"read {path} before refusing {flag} {value}")
-
-        monkeypatch.setattr(cli, "_load_image", read)
+        refuse_reads(monkeypatch, f"{flag} {value}")
         outputs = {"preprocess": ["--out-root", tmp_path / "out"],
                    "train-probe": ["--seed", 1, "--model-out", tmp_path / "model.txt",
                                    "--curve-out", tmp_path / "curve.csv"]}[command]

@@ -1,10 +1,8 @@
-import tempfile
-from pathlib import Path
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import UTF8_TEXT
 from lesionprep.dataset import (
     LABELS,
     SPLITS,
@@ -32,6 +30,8 @@ ENTRIES = st.lists(
     unique_by=lambda e: e.path,
 )
 BOM = b"\xef\xbb\xbf"
+# quotes, commas, a leading space, non-ASCII letters and the empty path
+AWKWARD_ENTRIES = [ManifestEntry(p, "benign", "train") for p in ['a "b", c.ppm', ' lead.ppm', '"q', "é/ü ß.ppm", ""]]
 
 
 def make_tree(root, layout):
@@ -199,7 +199,7 @@ class TestManifestIO:
             parse_manifest(text)
 
     @given(st.one_of(
-        st.text(), st.lists(MANIFEST_TOKENS).map("".join),
+        UTF8_TEXT, st.lists(MANIFEST_TOKENS).map("".join),
         st.lists(MANIFEST_TOKENS).map(lambda t: "path,label,split\n" + "".join(t)),
     ))
     @example(BARE_CR_MANIFEST)
@@ -222,12 +222,13 @@ class TestManifestIO:
             pass
 
     @given(ENTRIES)
-    @example([ManifestEntry(p, "benign", "train") for p in ['a "b", c.ppm', ' lead.ppm', '"q', "é/ü ß.ppm", ""]])
-    def test_write_then_read_gives_the_sorted_entries(self, entries):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.csv"
-            write_manifest(entries, path)
-            assert read_manifest(path) == sorted(entries, key=lambda e: e.path)
+    @example(AWKWARD_ENTRIES)
+    def test_formatted_utf8_parses_to_the_sorted_entries(self, entries):
+        assert parse_manifest(format_manifest(entries).encode()) == sorted(entries, key=lambda e: e.path)
+
+    def test_write_then_read_gives_the_sorted_entries(self, tmp_path):
+        write_manifest(AWKWARD_ENTRIES, tmp_path / "m.csv")
+        assert read_manifest(tmp_path / "m.csv") == sorted(AWKWARD_ENTRIES, key=lambda e: e.path)
 
     def test_quoted_line_breaks_read_back_verbatim(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import UTF8_TEXT
 from lesionprep.evaluation import (
     LOG_HEADER,
     ConfusionMatrix,
@@ -93,7 +94,7 @@ class TestParse:
         assert recs == [PredictionRecord("1", "benign", 0.9, "benign")]
 
     @given(st.one_of(
-        st.binary(), st.text(), st.lists(LOG_TOKENS).map("".join),
+        st.binary(), UTF8_TEXT, st.lists(LOG_TOKENS).map("".join),
         st.lists(LOG_TOKENS).map(lambda t: ",".join(LOG_HEADER) + "\n" + "".join(t)),
     ))
     @example(BARE_CR_LOG)

@@ -33,9 +33,6 @@ correctly rounded by IEEE 754 and need no entry.
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -43,7 +40,7 @@ import pytest
 import lesionprep
 from lesionprep.cli import main
 from lesionprep.raster import Image, encode_netpbm
-from test_cli import write_image, write_log
+from test_cli import fresh, write_image, write_log
 from test_preprocess import hairy_scene
 
 SRC = Path(lesionprep.__file__).parents[1]
@@ -67,14 +64,11 @@ def run_fresh(tmp_path, *argv, address_space=None):
     in ``sys.modules``, and its stderr. Given ``address_space``, the child
     first caps its own address space at that many bytes."""
     result = tmp_path / "guard.json"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     cap = "" if address_space is None else (
         f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n")
-    err = subprocess.run(
-        [sys.executable, "-c", cap + GUARD, str(result), *map(str, argv)],
-        env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, check=True, timeout=120,
-        capture_output=True, text=True,
-    ).stderr
+    done = fresh(tmp_path, "-c", cap + GUARD, result, *argv)
+    err = done.stderr.decode()
+    assert done.returncode == 0, err
     assert stderr_faults(err) == []
     payload = json.loads(result.read_text())
     return payload["code"], payload["loaded"], err

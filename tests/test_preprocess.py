@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lesionprep import preprocess
@@ -32,6 +31,8 @@ from lesionprep.preprocess import (
     unsharp_mask,
 )
 from lesionprep.raster import GrayImage, Image, decode_netpbm
+
+from conftest import seeded_arrays, u8_arrays
 
 _DIRS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
 
@@ -219,19 +220,12 @@ def smooth_oracle(pixels: np.ndarray, bits: np.ndarray, config: PreprocessConfig
         out[y, x] = _lower_median(window)
     return out
 
-def u8_arrays(*trailing):
-    """uint8 arrays whose two leading sides are 1-40 px."""
-    sides = st.tuples(st.integers(1, 40), st.integers(1, 40))
-    return sides.flatmap(lambda hw: hnp.arrays(np.uint8, hw + trailing))
-
-
-
 @st.composite
 def masked_images(draw, max_side=30):
     """uint8 RGB pixels and a mask of any density, all-clear and all-masked
     included; sides are 1 to ``max_side`` px, so masks often touch the borders."""
     h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-    pixels = draw(hnp.arrays(np.uint8, (h, w, 3)))
+    pixels = draw(seeded_arrays((h, w, 3)))
     density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
     return pixels, np.random.default_rng(seed).random((h, w)) < density
@@ -244,7 +238,7 @@ def line_masked_images(draw):
     masked run along a stroke ends at the image border, where a walk to a
     sample falls off the line."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    pixels = draw(hnp.arrays(np.uint8, (h, w, 3)))
+    pixels = draw(seeded_arrays((h, w, 3)))
     y, x = np.indices((h, w))
     coord = {"row": y, "column": x, "diagonal": y - x + w - 1, "antidiagonal": y + x}
     bits = np.zeros((h, w), bool)
@@ -672,7 +666,7 @@ class TestInpaintHair:
         assert np.array_equal(got.pixels, inpaint_oracle(pixels, bits, cfg))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 997), st.integers(1, 3), hnp.arrays(np.uint8, (2, 3)))
+    @given(st.integers(1, 997), st.integers(1, 3), seeded_arrays((2, 3)))
     @example(997, 3, np.array([[0, 255, 1], [255, 0, 254]], np.uint8))
     def test_two_sided_mean_matches_the_float_form_up_to_distance_999(self, run, margin, ends):
         # one row: one side sample at each end, margin - 1 unmasked pixels,
@@ -756,6 +750,7 @@ class TestSmoothInpainted:
 
     @settings(max_examples=100, deadline=None)
     @given(masked_images(), st.sampled_from([3, 5, 7]), st.one_of(st.none(), st.integers(1, 8)))
+    @example((np.arange(12, dtype=np.uint8).reshape(1, 4, 3), np.ones((1, 4), bool)), 7, None)  # the covering window
     def test_matches_scalar_oracle(self, case, window, chunk_pixels):
         # chunk_pixels masked pixels per sorted chunk, or the module's budget
         pixels, bits = case

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lesionprep import probe
@@ -27,7 +26,8 @@ from lesionprep.probe import (
     train_probe,
 )
 from lesionprep.raster import Image
-from test_preprocess import golden_image, traced_peak, u8_arrays
+from conftest import u8_arrays
+from test_preprocess import golden_image, traced_peak
 
 
 def zero_model(dim: int) -> LinearProbeModel:
@@ -188,17 +188,6 @@ def features_oracle(image: Image) -> np.ndarray:
 
 def assert_matches_oracle(image: Image):
     assert extract_features(image).tobytes() == features_oracle(image).tobytes()
-
-
-@st.composite
-def seeded_arrays(draw):
-    """(h, w, 3) uint8 images of 1-40 px per side whose values come from a
-    drawn set of levels; a seeded numpy draw fills them, which is far
-    cheaper than drawing each pixel through hypothesis."""
-    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    levels = np.array(draw(st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True)), np.uint8)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return levels[rng.integers(0, len(levels), (h, w, 3))]
 
 
 @st.composite
@@ -383,7 +372,7 @@ class TestExtractFeatures:
         assert f[54] == pytest.approx(expected_edge)
 
     @settings(deadline=None, max_examples=200)
-    @given(st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(lambda hw: hnp.arrays(np.uint8, hw)))
+    @given(u8_arrays())
     def test_sobel_matches_scipy_bit_for_bit(self, luma):
         for got, want in zip(probe._sobel(luma.astype(np.int32)), sobel_oracle(luma.astype(np.float64))):
             assert got.dtype == np.int32 and got.shape == want.shape
@@ -396,7 +385,7 @@ class TestExtractFeatures:
             assert got.astype(np.float64).tobytes() == want.tobytes()
 
     @settings(deadline=None, max_examples=100)
-    @given(seeded_arrays() | u8_arrays(3))
+    @given(u8_arrays(3))
     @example(np.zeros((1, 1, 3), np.uint8))
     @example(np.full((1, 40, 3), 255, np.uint8))
     @example(np.arange(120, dtype=np.uint8).reshape(40, 1, 3))
